@@ -542,11 +542,12 @@ pub fn run(scale: Scale, corpus_scale: usize) -> PerfReport {
         wall_ms,
     });
 
-    eprintln!("[perf] scaled LOGO sweep, streaming (single-cell grid)...");
+    eprintln!("[perf] scaled SVM LOGO sweep, streaming (single-cell grid)...");
     let scaled_sub = scaled_full.select_features(&ctx.feature_subset);
-    // Empty family grids: the scaled stage benchmarks the streaming
-    // distance/kernel path, not tree/forest/MLP refits, and its timing
-    // stays comparable to pre-zoo baselines.
+    // One SVM cell and one radius over the streaming sweep: the stage is
+    // one-vs-rest SMO solves for every LOGO fold, with the streaming
+    // distance/kernel pass a small share of it. Empty family grids keep
+    // tree/forest/MLP refits out of it.
     let scaled_cfg = SweepConfig {
         svm: SvmGrid {
             gammas: vec![1.0],
@@ -568,7 +569,7 @@ pub fn run(scale: Scale, corpus_scale: usize) -> PerfReport {
             ..MlpGrid::default()
         },
     };
-    let (r, scaled_sweep) = bench_once("sweep_scaled", || {
+    let (r, scaled_sweep) = bench_once("svm_logo_scaled", || {
         sweep(&scaled_sub, &scaled_groups, &scaled_cfg)
     });
     let wall_ms = ms(r.min());

@@ -169,10 +169,11 @@ impl KernelCache {
 ///
 /// `labels` are ±1. `alpha0` warm-starts the solver; `frozen` pins one
 /// index at zero (the left-out example during LOO). `active` restricts
-/// the coordinates optimized (and the decision values maintained) to a
-/// subset — the support-vector set during LOO re-convergence, where
-/// removing one point perturbs mostly the other support vectors. Returns
-/// the dual variables.
+/// the coordinates optimized to a subset — a LOGO training fold, or the
+/// support-vector set during LOO re-convergence, where removing one
+/// point perturbs mostly the other support vectors. Returns the dual
+/// variables, bit-identical to a solver that maintains decision values
+/// for the active coordinates only (DESIGN.md §10).
 pub(crate) fn train_binary(
     kc: &KernelCache,
     labels: &[f64],
@@ -199,28 +200,25 @@ pub(crate) fn train_binary(
         }
     };
 
-    // f[p] = sum_j alpha_j y_j K'(active[p], j), maintained for the
-    // active coordinates only.
-    let mut f = vec![0.0; active.len()];
-    for (p, &i) in active.iter().enumerate() {
-        let row = kc.row(i);
-        f[p] = alpha
-            .iter()
-            .zip(labels)
-            .zip(row)
-            .filter(|((a, _), _)| **a != 0.0)
-            .map(|((a, y), k)| a * y * k)
-            .sum();
+    // f[i] = sum_j alpha_j y_j K'(i, j), indexed by example. Only the
+    // entries of `active` are ever read; the rest are written by the
+    // contiguous row update below and ignored. A cold start has all
+    // alphas zero, so every f[i] is the empty sum, -0.0.
+    let mut f = vec![-0.0; n];
+    if alpha0.is_some() {
+        for &i in active {
+            f[i] = decision_at(kc, labels, &alpha, i);
+        }
     }
 
     for _sweep in 0..sweeps {
         let mut max_violation: f64 = 0.0;
-        for (p, &i) in active.iter().enumerate() {
+        for &i in active {
             if Some(i) == frozen {
                 continue;
             }
             let yi = labels[i];
-            let g = yi * f[p] - 1.0; // gradient of the dual w.r.t alpha_i (negated)
+            let g = yi * f[i] - 1.0; // gradient of the dual w.r.t alpha_i (negated)
             let violation = if alpha[i] <= 0.0 {
                 (-g).max(0.0)
             } else if alpha[i] >= params.c {
@@ -239,10 +237,11 @@ pub(crate) fn train_binary(
                 continue;
             }
             alpha[i] = new_alpha;
-            let row = kc.row(i);
+            // The whole row, contiguous: cheaper than gathering the
+            // active entries, and each active entry gets the same ops.
             let dy = delta * yi;
-            for (q, &t) in active.iter().enumerate() {
-                f[q] += dy * row[t];
+            for (fv, &k) in f.iter_mut().zip(kc.row(i)) {
+                *fv += dy * k;
             }
         }
         if max_violation <= params.tol {
@@ -815,6 +814,158 @@ mod tests {
         );
         drop(copy);
         drop(kc);
+    }
+
+    /// The solver as it was before the example-indexed decision cache,
+    /// kept as the bit-identity reference: `f` holds the active
+    /// coordinates only, and each accepted step is a gathered update
+    /// over `active`.
+    fn train_binary_gathered(
+        kc: &KernelCache,
+        labels: &[f64],
+        params: &SvmParams,
+        alpha0: Option<&[f64]>,
+        frozen: Option<usize>,
+        sweeps: usize,
+        active: Option<&[usize]>,
+    ) -> Vec<f64> {
+        let n = kc.n;
+        let mut alpha = match alpha0 {
+            Some(a) => a.to_vec(),
+            None => vec![0.0; n],
+        };
+        if let Some(i) = frozen {
+            alpha[i] = 0.0;
+        }
+        let full: Vec<usize>;
+        let active: &[usize] = match active {
+            Some(a) => a,
+            None => {
+                full = (0..n).collect();
+                &full
+            }
+        };
+        let mut f = vec![0.0; active.len()];
+        for (p, &i) in active.iter().enumerate() {
+            let row = kc.row(i);
+            f[p] = alpha
+                .iter()
+                .zip(labels)
+                .zip(row)
+                .filter(|((a, _), _)| **a != 0.0)
+                .map(|((a, y), k)| a * y * k)
+                .sum();
+        }
+        for _sweep in 0..sweeps {
+            let mut max_violation: f64 = 0.0;
+            for (p, &i) in active.iter().enumerate() {
+                if Some(i) == frozen {
+                    continue;
+                }
+                let yi = labels[i];
+                let g = yi * f[p] - 1.0;
+                let violation = if alpha[i] <= 0.0 {
+                    (-g).max(0.0)
+                } else if alpha[i] >= params.c {
+                    g.max(0.0)
+                } else {
+                    g.abs()
+                };
+                max_violation = max_violation.max(violation);
+                if violation <= params.tol {
+                    continue;
+                }
+                let kii = kc.row(i)[i];
+                let new_alpha = (alpha[i] - g / kii).clamp(0.0, params.c);
+                let delta = new_alpha - alpha[i];
+                if delta.abs() < 1e-12 {
+                    continue;
+                }
+                alpha[i] = new_alpha;
+                let row = kc.row(i);
+                let dy = delta * yi;
+                for (q, &t) in active.iter().enumerate() {
+                    f[q] += dy * row[t];
+                }
+            }
+            if max_violation <= params.tol {
+                break;
+            }
+        }
+        alpha
+    }
+
+    /// Overlapping, label-noisy 3-class data in 3-D spread over four
+    /// groups: no class is separable, so soft-margin alphas pile up at
+    /// both box bounds.
+    fn noisy_groups() -> (Dataset, Vec<usize>) {
+        let mut rng = loopml_rt::Rng::seed_from_u64(7);
+        let (mut x, mut y, mut group) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..72 {
+            let class = i % 3;
+            let center = class as f64;
+            x.push(
+                (0..3)
+                    .map(|_| center + 2.0 * rng.next_f64() - 1.0)
+                    .collect::<Vec<f64>>(),
+            );
+            // One label in five is flipped to the next class.
+            y.push(if rng.next_f64() < 0.2 {
+                (class + 1) % 3
+            } else {
+                class
+            });
+            group.push(i % 4);
+        }
+        (dataset(x, y, 3), group)
+    }
+
+    #[test]
+    fn example_indexed_solver_is_bit_identical_to_gathered_reference() {
+        let (d, group) = noisy_groups();
+        let n = d.len();
+        let xs = MinMaxNormalizer::fit(&d.x).transform(&d.x);
+        let p = SvmParams {
+            c: 1.0,
+            ..SvmParams::default()
+        };
+        let bits = |a: &[f64]| a.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let (mut at_zero, mut at_c) = (false, false);
+        for gamma in [0.5, 4.0] {
+            let kc = KernelCache::compute(&xs, gamma);
+            for class in 0..d.classes {
+                let labels: Vec<f64> =
+                    d.y.iter()
+                        .map(|&y| if y == class { 1.0 } else { -1.0 })
+                        .collect();
+                let solve = |alpha0: Option<&[f64]>,
+                             frozen: Option<usize>,
+                             sweeps: usize,
+                             active: Option<&[usize]>| {
+                    let got = train_binary(&kc, &labels, &p, alpha0, frozen, sweeps, active);
+                    let want =
+                        train_binary_gathered(&kc, &labels, &p, alpha0, frozen, sweeps, active);
+                    assert_eq!(bits(&got), bits(&want), "gamma={gamma} class={class}");
+                    got
+                };
+                // Full solve, as `MulticlassSvm::fit` runs it.
+                let full = solve(None, None, p.max_sweeps, None);
+                at_zero |= full.contains(&0.0);
+                at_c |= full.contains(&p.c);
+                // Every LOGO fold, as the sweep runs it.
+                for g in 0..4 {
+                    let fold: Vec<usize> = (0..n).filter(|&i| group[i] != g).collect();
+                    solve(None, None, p.max_sweeps, Some(&fold));
+                }
+                // LOO re-convergence: warm start on the support vectors
+                // with one of them frozen out.
+                let svs: Vec<usize> = (0..n).filter(|&j| full[j] > 0.0).collect();
+                for &i in svs.iter().step_by(5) {
+                    solve(Some(&full), Some(i), p.loo_sweeps, Some(&svs));
+                }
+            }
+        }
+        assert!(at_zero && at_c, "alphas must reach both box bounds");
     }
 
     #[test]

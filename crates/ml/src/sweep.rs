@@ -519,6 +519,15 @@ fn finish_report(
     // correct predictions on the held-out members. Integer tallies make
     // any job-to-worker assignment sum to the same accuracy.
     let n_groups = groups.len();
+    // One-vs-rest ±1 labels, shared by every job.
+    let labels_by_class: Vec<Vec<f64>> = (0..data.classes)
+        .map(|class| {
+            data.y
+                .iter()
+                .map(|&y| if y == class { 1.0 } else { -1.0 })
+                .collect()
+        })
+        .collect();
     let jobs: Vec<(usize, usize, usize)> = (0..cfg.svm.gammas.len())
         .flat_map(|gi| {
             (0..cfg.svm.cs.len()).flat_map(move |ci| (0..n_groups).map(move |fi| (gi, ci, fi)))
@@ -538,14 +547,6 @@ fn finish_report(
             ..cfg.svm.base
         };
         let kc = &kernels[gi];
-        let labels_by_class: Vec<Vec<f64>> = (0..data.classes)
-            .map(|class| {
-                data.y
-                    .iter()
-                    .map(|&y| if y == class { 1.0 } else { -1.0 })
-                    .collect()
-            })
-            .collect();
         // One-vs-rest machines restricted to the fold's training set:
         // dual variables stay zero outside `active`, so the full-corpus
         // kernel is exact for this fold.

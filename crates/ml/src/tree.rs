@@ -166,15 +166,21 @@ impl DecisionTree {
         // the count-weighted Gini impurity, computed from integers so
         // every platform agrees bitwise.
         let parent_score = score(&counts, n);
-        let mut best: Option<(f64, usize, f64, Vec<usize>, usize)> = None;
+        // The best split so far: (gain, feature, threshold, pivot), where
+        // `pivot` is the first example on the right of the split.
+        let mut best: Option<(f64, usize, f64, usize)> = None;
+        // Examples are ordered by value, then example index — ties in the
+        // data can never reorder the candidate scan. This is a total order,
+        // so a sort's result does not depend on its input order.
+        let order = |feature: usize, a: usize, b: usize| {
+            xs[a][feature].total_cmp(&xs[b][feature]).then(a.cmp(&b))
+        };
         let mut sorted = idx.to_vec();
         // Indexing `xs[example][feature]` column-by-column; an iterator
         // over rows cannot express the per-feature scan.
         #[allow(clippy::needless_range_loop)]
         for feature in 0..self.dims {
-            // Stable order: by value, then example index — ties in the
-            // data can never reorder the candidate scan.
-            sorted.sort_by(|&a, &b| xs[a][feature].total_cmp(&xs[b][feature]).then(a.cmp(&b)));
+            sorted.sort_by(|&a, &b| order(feature, a, b));
             let mut left = vec![0u64; self.classes];
             let mut right = counts.clone();
             for k in 1..n {
@@ -195,16 +201,20 @@ impl DecisionTree {
                         // value so `<= threshold` still splits at k.
                         threshold = lo;
                     }
-                    best = Some((gain, feature, threshold, sorted.clone(), k));
+                    best = Some((gain, feature, threshold, sorted[k]));
                 }
             }
         }
-        let Some((gain, feature, threshold, order, k)) = best else {
+        let Some((gain, feature, threshold, pivot)) = best else {
             return leaf_id(&mut self.nodes);
         };
         if gain <= parent_score {
             return leaf_id(&mut self.nodes);
         }
+        // The left side is exactly the examples ordered before the pivot.
+        // Children re-sort every feature, so their input order is free.
+        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
+            idx.iter().partition(|&&i| order(feature, i, pivot).is_lt());
         let id = self.nodes.len();
         self.nodes.push(Node {
             feature,
@@ -213,8 +223,8 @@ impl DecisionTree {
             right: 0,
             label,
         });
-        let left = self.build(xs, ys, &order[..k], depth + 1);
-        let right = self.build(xs, ys, &order[k..], depth + 1);
+        let left = self.build(xs, ys, &left_idx, depth + 1);
+        let right = self.build(xs, ys, &right_idx, depth + 1);
         self.nodes[id].left = left;
         self.nodes[id].right = right;
         id

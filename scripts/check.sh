@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repository gate: release build, full test suite, clippy, formatting,
+# Repository gate: release build, full test suite, the benchmark
+# package's own tests (loopbench/), clippy, formatting,
 # the corpus lint (loopml-lint must report zero deny diagnostics over
 # the built-in corpus at every unroll factor), the prover gate (the
 # legality-prover corpus scan must show zero prover/oracle
@@ -33,6 +34,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --workspace --release
 cargo test --workspace -q
+cargo test --offline --manifest-path loopbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 cargo run --release -p loopml-lint
