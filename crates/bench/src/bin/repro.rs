@@ -82,7 +82,7 @@ const LINT_SPEC: Spec = Spec {
 
 const PERF_SPEC: Spec = Spec {
     name: "perf",
-    summary: "time each pipeline stage once and write BENCH_ml.json",
+    summary: "time each pipeline stage and write BENCH_ml.json",
     positionals: "",
     flags: &[],
 };

@@ -14,7 +14,7 @@ use std::path::PathBuf;
 
 use loopml_ir::{Benchmark, WeightedLoop};
 use loopml_lint::{validate_pipeline, LintLevel};
-use loopml_machine::{icache_entry_cost, loop_cost, MachineConfig, NoiseModel, SwpMode};
+use loopml_machine::{icache_entry_cost, loop_cost, LoopCost, MachineConfig, NoiseModel, SwpMode};
 use loopml_opt::{unroll_and_optimize, OptConfig};
 use loopml_rt::fault::site;
 use loopml_rt::{fault_key, num_threads, par_map_result_threads, par_map_threads, FaultPlane, Rng};
@@ -120,20 +120,47 @@ impl LabeledLoop {
     }
 }
 
+/// The rolled (factor-1) variant of one loop, compiled and costed once
+/// per labeling attempt: it is factor 1's own measurement and prices the
+/// remainder loop of every other factor.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Rolled {
+    /// Machine-model cost of the rolled loop.
+    pub cost: LoopCost,
+    /// Dynamic trip count per entry of the rolled loop.
+    pub trips: u64,
+}
+
+impl Rolled {
+    /// Compiles and costs `w` at factor 1 under `cfg`.
+    pub fn new(w: &WeightedLoop, cfg: &LabelConfig) -> Self {
+        let rolled = unroll_and_optimize(&w.body, 1, &cfg.opt);
+        Rolled {
+            cost: loop_cost(&rolled, 0.0, &cfg.machine, cfg.swp),
+            trips: rolled.body.trip_count.dynamic(),
+        }
+    }
+}
+
 /// Measures the *true* (noise-free) total cycles of one weighted loop at
 /// one unroll factor, including instruction-cache entry effects under the
-/// given hot-code footprint.
-pub fn true_cycles(w: &WeightedLoop, factor: u32, footprint: u64, cfg: &LabelConfig) -> f64 {
+/// given hot-code footprint. `rolled` is the loop's [`Rolled`] baseline
+/// under the same `cfg`.
+pub fn true_cycles(
+    w: &WeightedLoop,
+    factor: u32,
+    footprint: u64,
+    rolled: &Rolled,
+    cfg: &LabelConfig,
+) -> f64 {
     if cfg.lint.is_enabled() {
         validate_pipeline(&w.body, factor, &cfg.opt).enforce(cfg.lint, &w.body.name);
     }
-    let rolled = unroll_and_optimize(&w.body, 1, &cfg.opt);
-    let rolled_cost = loop_cost(&rolled, 0.0, &cfg.machine, cfg.swp);
     let (cost, trips) = if factor == 1 {
-        (rolled_cost, rolled.body.trip_count.dynamic())
+        (rolled.cost, rolled.trips)
     } else {
         let u = unroll_and_optimize(&w.body, factor, &cfg.opt);
-        let c = loop_cost(&u, rolled_cost.per_iter, &cfg.machine, cfg.swp);
+        let c = loop_cost(&u, rolled.cost.per_iter, &cfg.machine, cfg.swp);
         (c, u.body.trip_count.dynamic())
     };
     let icache = icache_entry_cost(cost.code_bytes, footprint, &cfg.machine);
@@ -197,6 +224,7 @@ pub fn label_loop_attempt(
     attempt: u32,
 ) -> Result<Option<LabeledLoop>, LabelError> {
     let mut rng = Rng::seed_from_u64(attempt_seed(cfg.seed, benchmark_index, loop_index, attempt));
+    let rolled = Rolled::new(w, cfg);
     let mut runtimes = [0.0f64; MAX_UNROLL as usize];
     for f in 1..=MAX_UNROLL {
         faults
@@ -213,7 +241,7 @@ pub fn label_loop_attempt(
                 site: fault.site,
                 attempt,
             })?;
-        let truth = true_cycles(w, f, footprint, cfg);
+        let truth = true_cycles(w, f, footprint, &rolled, cfg);
         let measured = cfg.noise.measure(truth, &mut rng);
         if !measured.is_finite() {
             return Err(LabelError::NonFinite { factor: f });

@@ -295,55 +295,244 @@ impl DepGraph {
     /// caller-supplied per-edge latency (so machine models can substitute
     /// their own latencies). This is the smallest integer `ii ≥ 1` such
     /// that the graph with edge weights `latency − ii·distance` has no
-    /// positive-weight cycle.
+    /// positive-weight cycle: the largest `⌈Σlatency / Σdistance⌉` over
+    /// the graph's cycles, or 1 when it has none.
+    ///
+    /// Only edges inside a strongly connected component can lie on a
+    /// cycle, so each non-trivial component is searched on its own,
+    /// starting from the best bound found so far. Within a component the
+    /// search jumps from cycle to cycle: Bellman-Ford at the current bound
+    /// either converges (the bound is feasible) or leaves a positive cycle
+    /// in its predecessor graph, whose own `⌈Σlatency / Σdistance⌉` is a
+    /// lower bound on every feasible `ii` and strictly above the current
+    /// one.
+    ///
+    /// Degenerate input: a positive cycle of total distance 0 (which only
+    /// [`DepGraph::from_parts`] can build) is infeasible at every `ii`.
+    /// The result is then `(max_latency · n).max(1)` over the whole graph,
+    /// the top of the range a bisection over `[1, max_latency · n]` ends
+    /// at.
     pub fn rec_mii<F: Fn(&Dep) -> u32>(&self, latency_of: F) -> u32 {
         if self.n == 0 {
             return 1;
         }
-        let max_lat: i64 = self
-            .deps
-            .iter()
-            .map(|d| i64::from(latency_of(d)))
-            .max()
-            .unwrap_or(1);
-        let mut lo = 1i64;
-        let mut hi = (max_lat * self.n as i64).max(1);
-        // Invariant: hi is always feasible (weights all ≤ 0 on cycles).
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.has_positive_cycle(mid, &latency_of) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+        let lat: Vec<i64> = self.deps.iter().map(|d| i64::from(latency_of(d))).collect();
+        let (comp, count) = self.components();
+        // Local index of each vertex within its component.
+        let mut local = vec![0usize; self.n];
+        let mut size = vec![0usize; count];
+        for (v, &c) in comp.iter().enumerate() {
+            local[v] = size[c];
+            size[c] += 1;
+        }
+        // Edges inside each component; no other edge lies on a cycle.
+        let mut inside: Vec<Vec<Edge>> = vec![Vec::new(); count];
+        for (d, &l) in self.deps.iter().zip(&lat) {
+            if comp[d.src] == comp[d.dst] {
+                inside[comp[d.src]].push(Edge {
+                    src: local[d.src],
+                    dst: local[d.dst],
+                    lat: l,
+                    dist: i64::from(d.distance),
+                });
             }
         }
-        lo as u32
+
+        let mut ii = 1i64;
+        for (edges, &n) in inside.iter().zip(&size) {
+            if edges.is_empty() {
+                continue; // a single vertex without a self-loop
+            }
+            match cycle_jump(n, edges, ii) {
+                Some(bound) => ii = bound,
+                None => {
+                    let max_lat = lat.iter().copied().max().unwrap_or(1);
+                    return (max_lat * self.n as i64).max(1) as u32;
+                }
+            }
+        }
+        ii as u32
     }
 
-    /// Bellman-Ford positive-cycle detection with weights
-    /// `latency − ii·distance`.
-    fn has_positive_cycle<F: Fn(&Dep) -> u32>(&self, ii: i64, latency_of: &F) -> bool {
-        // Longest-path relaxation: a positive cycle exists iff relaxation
-        // still succeeds after n rounds.
-        let mut dist = vec![0i64; self.n];
-        for round in 0..=self.n {
+    /// Strongly connected components (iterative Tarjan): the component id
+    /// of every vertex, and the number of components.
+    fn components(&self) -> (Vec<usize>, usize) {
+        const UNSEEN: usize = usize::MAX;
+        let n = self.n;
+        // Successor lists in compressed form.
+        let mut first = vec![0usize; n + 1];
+        for d in &self.deps {
+            first[d.src + 1] += 1;
+        }
+        for v in 0..n {
+            first[v + 1] += first[v];
+        }
+        let mut fill = first.clone();
+        let mut succ = vec![0usize; self.deps.len()];
+        for d in &self.deps {
+            succ[fill[d.src]] = d.dst;
+            fill[d.src] += 1;
+        }
+
+        let mut index = vec![UNSEEN; n];
+        let mut low = vec![0usize; n];
+        let mut on_stack = vec![false; n];
+        let mut stack = Vec::new();
+        let mut comp = vec![0usize; n];
+        let mut count = 0;
+        let mut next_index = 0;
+        // Explicit DFS frames: (vertex, next successor slot).
+        let mut frames: Vec<(usize, usize)> = Vec::new();
+        for root in 0..n {
+            if index[root] != UNSEEN {
+                continue;
+            }
+            let mut enter = Some(root);
+            loop {
+                if let Some(v) = enter.take() {
+                    index[v] = next_index;
+                    low[v] = next_index;
+                    next_index += 1;
+                    stack.push(v);
+                    on_stack[v] = true;
+                    frames.push((v, first[v]));
+                }
+                let Some((v, slot)) = frames.last_mut() else {
+                    break;
+                };
+                let v = *v;
+                if *slot < first[v + 1] {
+                    let w = succ[*slot];
+                    *slot += 1;
+                    if index[w] == UNSEEN {
+                        enter = Some(w);
+                    } else if on_stack[w] {
+                        low[v] = low[v].min(index[w]);
+                    }
+                    continue;
+                }
+                frames.pop();
+                if let Some(&(parent, _)) = frames.last() {
+                    low[parent] = low[parent].min(low[v]);
+                }
+                if low[v] == index[v] {
+                    while let Some(w) = stack.pop() {
+                        on_stack[w] = false;
+                        comp[w] = count;
+                        if w == v {
+                            break;
+                        }
+                    }
+                    count += 1;
+                }
+            }
+        }
+        (comp, count)
+    }
+}
+
+/// One edge of a strongly connected component, in component-local vertex
+/// numbering, with its latency resolved.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    src: usize,
+    dst: usize,
+    lat: i64,
+    dist: i64,
+}
+
+/// No predecessor edge yet.
+const NO_PRED: usize = usize::MAX;
+
+/// The smallest feasible initiation interval `≥ ii` of one strongly
+/// connected component of `n` vertices, or `None` when a positive cycle of
+/// total distance 0 makes every interval infeasible.
+fn cycle_jump(n: usize, edges: &[Edge], mut ii: i64) -> Option<i64> {
+    let mut weight = vec![0i64; edges.len()];
+    let mut dist = vec![0i64; n];
+    let mut pred = vec![NO_PRED; n];
+    let mut color = vec![Color::White; n];
+    'bound: loop {
+        for (w, e) in weight.iter_mut().zip(edges) {
+            *w = e.lat - ii * e.dist;
+        }
+        dist.fill(0);
+        pred.fill(NO_PRED);
+        // Longest-path relaxation from a virtual source joined to every
+        // vertex: it settles iff no cycle is positive at `ii`.
+        loop {
             let mut changed = false;
-            for d in &self.deps {
-                let w = i64::from(latency_of(d)) - ii * i64::from(d.distance);
-                if dist[d.src] + w > dist[d.dst] {
-                    dist[d.dst] = dist[d.src] + w;
+            for (k, (e, &w)) in edges.iter().zip(&weight).enumerate() {
+                if dist[e.src] + w > dist[e.dst] {
+                    dist[e.dst] = dist[e.src] + w;
+                    pred[e.dst] = k;
                     changed = true;
                 }
             }
             if !changed {
-                return false;
+                return Some(ii);
             }
-            if round == self.n {
-                return true;
+            let Some(on_cycle) = pred_cycle(edges, &pred, &mut color) else {
+                continue;
+            };
+            let (mut lat, mut distance) = (0i64, 0i64);
+            let mut v = on_cycle;
+            loop {
+                let e = edges[pred[v]];
+                lat += e.lat;
+                distance += e.dist;
+                v = e.src;
+                if v == on_cycle {
+                    break;
+                }
             }
+            if distance == 0 {
+                return None;
+            }
+            let next = (lat + distance - 1) / distance;
+            debug_assert!(next > ii, "predecessor-graph cycles are positive");
+            ii = next;
+            continue 'bound;
         }
-        false
     }
+}
+
+/// Walk state of a vertex in [`pred_cycle`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Color {
+    White,
+    Grey,
+    Black,
+}
+
+/// A vertex on a cycle of the predecessor graph, if it has one. Each
+/// vertex has at most one predecessor edge, so one three-colour pass
+/// finds a cycle in linear time.
+fn pred_cycle(edges: &[Edge], pred: &[usize], color: &mut [Color]) -> Option<usize> {
+    color.fill(Color::White);
+    for v in 0..pred.len() {
+        let mut u = v;
+        while color[u] == Color::White {
+            color[u] = Color::Grey;
+            if pred[u] == NO_PRED {
+                break;
+            }
+            u = edges[pred[u]].src;
+        }
+        if color[u] == Color::Grey && pred[u] != NO_PRED {
+            return Some(u);
+        }
+        // The walk ended at a root or at an earlier walk: retire it.
+        let mut u = v;
+        while color[u] == Color::Grey {
+            color[u] = Color::Black;
+            if pred[u] == NO_PRED {
+                break;
+            }
+            u = edges[pred[u]].src;
+        }
+    }
+    None
 }
 
 fn mem_dep_latency(src_op: Opcode, src_is_store: bool, dst_is_store: bool) -> u32 {
@@ -524,10 +713,10 @@ mod tests {
     }
 
     #[test]
-    fn rec_mii_binary_search_lands_on_the_cycle_bound() {
+    fn rec_mii_lands_on_the_cycle_bound() {
         // Two-node cycle: total latency 4 + 3 = 7 over total distance
         // 1 + 1 = 2, so the smallest feasible ii is ceil(7/2) = 4 — the
-        // positive-cycle test must fail at 3 and pass at 4.
+        // cycle is positive at 3 and not at 4.
         let g = DepGraph::from_parts(2, vec![cyc(0, 1, 4, 1), cyc(1, 0, 3, 1)]);
         assert_eq!(g.rec_mii(|d| d.latency), 4);
 

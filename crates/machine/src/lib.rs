@@ -50,6 +50,8 @@
 pub mod cache;
 pub mod config;
 pub mod cost;
+#[cfg(test)]
+mod legacy;
 pub mod list_sched;
 pub mod modulo;
 pub mod noise;

@@ -6,8 +6,6 @@
 //! multiple in-flight iterations (the software-pipelining pressure effect
 //! that makes over-unrolling dangerous).
 
-use std::collections::HashMap;
-
 use loopml_ir::{DepGraph, DepKind, Loop, Reg, RegClass};
 
 use crate::config::MachineConfig;
@@ -34,22 +32,35 @@ impl Pressure {
 /// initiation interval between consecutive iterations (the kernel length
 /// for list schedules, the II for modulo schedules). A value defined at
 /// `d` and last used at `u` (plus `period` for loop-carried consumers) is
-/// live for `u - d` cycles; at any kernel cycle the number of live copies
-/// of a value is its lifetime divided by the period, rounded by phase.
-/// Loop-invariant live-in registers occupy a register throughout.
+/// live over `[d, u)`, at least one cycle; an instruction that names the
+/// same register twice defines one value. At kernel row `c` the value has
+/// one live copy per cycle of `[d, u)` congruent to `c` modulo the
+/// period: `⌊(u − d) / period⌋` copies at every row, plus one more at the
+/// `(u − d) mod period` rows starting at row `d mod period` (wrapping
+/// around). The rows are summed with a difference array, so the cost is
+/// linear in the body, its edges and the period. Loop-invariant live-in
+/// registers occupy a register throughout.
 pub fn max_live(l: &Loop, g: &DepGraph, starts: &[u32], period: u32) -> Pressure {
     let n = l.body.len();
     assert_eq!(starts.len(), n, "starts must cover the body");
     let period = i64::from(period.max(1));
 
-    // Lifetime [def_start, last_use_start] per defined value.
-    let mut lifetime: HashMap<(usize, Reg), (i64, i64)> = HashMap::new();
+    // One slot per distinct register each instruction defines, holding
+    // the value's lifetime `[start, end)`; `first[i]..first[i + 1]` are
+    // instruction i's slots.
+    let mut first = Vec::with_capacity(n + 1);
+    let mut slots: Vec<(Reg, i64, i64)> = Vec::new();
     for (i, inst) in l.body.iter().enumerate() {
+        let own = slots.len();
+        first.push(own);
+        let s = i64::from(starts[i]);
         for &d in &inst.defs {
-            let s = i64::from(starts[i]);
-            lifetime.insert((i, d), (s, s + 1));
+            if !slots[own..].iter().any(|&(r, _, _)| r == d) {
+                slots.push((d, s, s + 1));
+            }
         }
     }
+    first.push(slots.len());
     for dep in g.deps() {
         if dep.kind != DepKind::Reg {
             continue;
@@ -57,48 +68,56 @@ pub fn max_live(l: &Loop, g: &DepGraph, starts: &[u32], period: u32) -> Pressure
         // The value produced by dep.src is consumed by dep.dst, `distance`
         // iterations later.
         let use_cycle = i64::from(starts[dep.dst]) + period * i64::from(dep.distance);
-        for &d in &l.body[dep.src].defs {
-            if l.body[dep.dst].reads().any(|r| r == d) {
-                let e = lifetime
-                    .entry((dep.src, d))
-                    .or_insert((i64::from(starts[dep.src]), i64::from(starts[dep.src]) + 1));
-                e.1 = e.1.max(use_cycle);
+        let reader = &l.body[dep.dst];
+        for slot in &mut slots[first[dep.src]..first[dep.src + 1]] {
+            if reader.reads().any(|r| r == slot.0) {
+                slot.2 = slot.2.max(use_cycle);
             }
         }
     }
 
-    // Steady-state occupancy: at kernel cycle c, value copies live =
-    // #{k : s <= c + k*period < e}.
-    let mut max_int = 0i64;
-    let mut max_fp = 0i64;
-    for c in 0..period {
-        let mut int_live = 0i64;
-        let mut fp_live = 0i64;
-        for (&(_, r), &(s, e)) in &lifetime {
-            let span = e - s;
-            if span <= 0 {
-                continue;
-            }
-            // Number of k with s <= c + k*period < e.
-            let lo = div_ceil_i64(s - c, period);
-            let hi = div_floor_i64(e - 1 - c, period);
-            let copies = (hi - lo + 1).max(0);
-            match r.class() {
-                RegClass::Int => int_live += copies,
-                RegClass::Fp => fp_live += copies,
-                RegClass::Pred => {}
+    // Steady-state occupancy per class: copies every row has, plus a
+    // difference array over the kernel rows for the partial wrap.
+    let rows = period as usize;
+    let mut every_row = [0i64; 2];
+    let mut diff = [vec![0i64; rows + 1], vec![0i64; rows + 1]];
+    for &(r, s, e) in &slots {
+        let class = match r.class() {
+            RegClass::Int => 0,
+            RegClass::Fp => 1,
+            RegClass::Pred => continue,
+        };
+        let span = e - s;
+        every_row[class] += span / period;
+        let extra = (span % period) as usize;
+        if extra > 0 {
+            let from = s.rem_euclid(period) as usize;
+            let to = from + extra;
+            let d = &mut diff[class];
+            d[from] += 1;
+            if to <= rows {
+                d[to] -= 1;
+            } else {
+                d[0] += 1;
+                d[to - rows] -= 1;
             }
         }
-        max_int = max_int.max(int_live);
-        max_fp = max_fp.max(fp_live);
     }
+    let [max_int, max_fp] = [0, 1].map(|class| {
+        let mut live = 0i64;
+        let mut max = 0i64;
+        for &step in &diff[class][..rows] {
+            live += step;
+            max = max.max(live);
+        }
+        every_row[class] + max
+    });
 
     // Loop-invariant inputs hold a register for the whole loop.
     let mut invariant_int = 0u32;
     let mut invariant_fp = 0u32;
     for r in l.live_in_regs() {
-        let defined_in_loop = l.body.iter().any(|i| i.defs.contains(&r));
-        if defined_in_loop {
+        if slots.iter().any(|&(d, _, _)| d == r) {
             continue; // loop-carried, already counted via lifetimes
         }
         match r.class() {
@@ -112,19 +131,6 @@ pub fn max_live(l: &Loop, g: &DepGraph, starts: &[u32], period: u32) -> Pressure
         int: max_int as u32 + invariant_int,
         fp: max_fp as u32 + invariant_fp,
     }
-}
-
-fn div_floor_i64(a: i64, b: i64) -> i64 {
-    let q = a / b;
-    if a % b != 0 && (a < 0) != (b < 0) {
-        q - 1
-    } else {
-        q
-    }
-}
-
-fn div_ceil_i64(a: i64, b: i64) -> i64 {
-    -div_floor_i64(-a, b)
 }
 
 #[cfg(test)]

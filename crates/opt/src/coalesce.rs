@@ -95,7 +95,9 @@ fn find_pair(l: &Loop, target_load: bool) -> Option<(usize, usize)> {
         if a.opcode != want || a.predicate.is_some() {
             continue;
         }
-        let ma = a.mem?;
+        let Some(ma) = a.mem else {
+            continue; // a load or store without a memref never pairs
+        };
         if ma.indirect || ma.offset.rem_euclid(i64::from(ma.width) * 2) != 0 {
             continue;
         }
@@ -225,6 +227,35 @@ mod tests {
         b.load(y, m(0, 8, 8));
         let mut l = b.build();
         assert_eq!(coalesce(&mut l), 0);
+    }
+
+    #[test]
+    fn an_access_without_memref_does_not_stop_later_pairing() {
+        let mut b = LoopBuilder::new("t", TripCount::Known(10));
+        let w = b.fp_reg();
+        let x = b.fp_reg();
+        let y = b.fp_reg();
+        // Decoded or hand-built loops can carry a memory opcode without
+        // its access descriptor.
+        let no_mem = |i: Inst| Inst { mem: None, ..i };
+        b.inst(no_mem(Inst::mem(Opcode::Load, vec![w], vec![], m(2, 8, 0))));
+        b.load(x, m(0, 16, 0));
+        b.load(y, m(0, 16, 8));
+        let s = b.fp_reg();
+        b.inst(no_mem(Inst::mem(
+            Opcode::Store,
+            vec![],
+            vec![s],
+            m(3, 8, 0),
+        )));
+        b.store(x, m(1, 16, 0));
+        b.store(y, m(1, 16, 8));
+        let mut l = b.build();
+        assert_eq!(coalesce(&mut l), 2);
+        assert_eq!(l.count_ops(|i| i.opcode == Opcode::LoadPair), 1);
+        assert_eq!(l.count_ops(|i| i.opcode == Opcode::StorePair), 1);
+        assert_eq!(l.count_ops(|i| i.opcode == Opcode::Load), 1);
+        assert_eq!(l.count_ops(|i| i.opcode == Opcode::Store), 1);
     }
 
     #[test]
