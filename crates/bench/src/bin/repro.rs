@@ -385,9 +385,8 @@ fn cmd_perf(p: &Parsed) -> i32 {
     std::fs::write("BENCH_ml.json", format!("{json}\n")).expect("write BENCH_ml.json");
     println!("{json}");
     eprintln!(
-        "[perf] wrote BENCH_ml.json ({} stages, greedy speedup {:.1}x)",
-        report.stages.len(),
-        report.greedy_speedup
+        "[perf] wrote BENCH_ml.json ({} stages)",
+        report.stages.len()
     );
     EXIT_OK
 }
@@ -421,28 +420,25 @@ fn cmd_sweep(p: &Parsed) -> i32 {
     let json = run.to_json();
     std::fs::write("SWEEP_ml.json", format!("{json}\n")).expect("write SWEEP_ml.json");
     println!("{json}");
-    if run.report.distance_builds != 1 {
-        eprintln!(
-            "[sweep] FAIL: {} distance-matrix builds, expected exactly 1",
-            run.report.distance_builds
-        );
-        return EXIT_FAIL;
+    // Gate on the document as written: exactly one distance build, at
+    // least two scored families, and a winner from the vocabulary.
+    let checked = std::fs::read_to_string("SWEEP_ml.json")
+        .map_err(|e| format!("read SWEEP_ml.json: {e}"))
+        .and_then(|text| Json::parse(&text).map_err(|e| format!("parse SWEEP_ml.json: {e}")))
+        .and_then(|doc| sweeprun::validate(&doc));
+    match checked {
+        Ok(()) => {
+            eprintln!(
+                "[sweep] wrote SWEEP_ml.json (1 distance build, winner {})",
+                run.report.winner_family
+            );
+            EXIT_OK
+        }
+        Err(e) => {
+            eprintln!("[sweep] FAIL: {e}");
+            EXIT_FAIL
+        }
     }
-    // The cross-family winner is only meaningful as a comparison: at
-    // least two families must actually have been scored.
-    if run.families_scored() < 2 {
-        eprintln!(
-            "[sweep] FAIL: only {} model family scored; the cross-family winner needs >= 2",
-            run.families_scored()
-        );
-        return EXIT_FAIL;
-    }
-    eprintln!(
-        "[sweep] wrote SWEEP_ml.json (1 distance build, {} families scored, winner {})",
-        run.families_scored(),
-        run.report.winner_family
-    );
-    EXIT_OK
 }
 
 fn cmd_label(p: &Parsed) -> i32 {

@@ -1,9 +1,9 @@
 //! `repro perf` — the tracked performance harness.
 //!
 //! Times the expensive pipeline stages one by one (labeling, LOOCV for
-//! both classifiers, greedy feature selection with and without the
-//! incremental distance cache, the LOGO hyperparameter sweep, the
-//! Figure 4 evaluation, the batched serving replay) and emits a
+//! both classifiers, greedy feature selection over the incremental
+//! distance cache, the LOGO hyperparameter sweep, the Figure 4
+//! evaluation, the batched serving replay) and emits a
 //! machine-readable `BENCH_ml.json`. Each stage runs exactly once via
 //! [`loopml_rt::bench::bench_once`] — these are multi-second pipeline
 //! stages where repeat-until-budget timing would multiply minutes and
@@ -14,7 +14,9 @@
 //! `repro perf-check <current> <baseline>` re-reads a report and fails
 //! if it is malformed or if any stage regressed more than 2× against the
 //! checked-in baseline (`scripts/bench_baseline.json`), which is how
-//! `scripts/check.sh` keeps the cache and parallel paths honest.
+//! `scripts/check.sh` keeps the cache and parallel paths honest. That
+//! the cached greedy trace equals the direct recompute is a root
+//! integration test (`tests/greedy_traces.rs`), not a stage here.
 
 use loopml::{
     benchmark_groups, dataset_fingerprint, label_suite, model_fingerprint, to_dataset, LabelConfig,
@@ -23,10 +25,9 @@ use loopml::{
 use loopml_corpus::full_suite;
 use loopml_machine::SwpMode;
 use loopml_ml::{
-    greedy_forward, greedy_forward_nn, loocv_nn, loocv_svm, mutual_information, nn1_training_error,
-    peak_distance_bytes, peak_kernel_bytes, reset_distance_bytes, reset_kernel_bytes, sweep,
-    DistanceMatrix, ForestGrid, GreedyStep, KernelCache, MinMaxNormalizer, MlpGrid, MulticlassSvm,
-    SvmGrid, SweepConfig, TreeGrid, DEFAULT_RADIUS,
+    greedy_forward_nn, loocv_nn, loocv_svm, mutual_information, peak_distance_bytes,
+    peak_kernel_bytes, reset_distance_bytes, reset_kernel_bytes, sweep, ForestGrid, MlpGrid,
+    MulticlassSvm, SvmGrid, SweepConfig, TreeGrid, DEFAULT_RADIUS,
 };
 use loopml_rt::bench::bench_once;
 use loopml_rt::json::{escape, Json};
@@ -61,7 +62,8 @@ pub struct Stage {
     pub wall_ms: f64,
 }
 
-/// The full perf report: stage timings plus derived metrics.
+/// The full perf report: stage timings plus the serving, legality and
+/// scaling blocks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
     /// Scale the run was performed at.
@@ -74,24 +76,6 @@ pub struct PerfReport {
     pub n_features: usize,
     /// Per-stage wall-clock timings, in run order.
     pub stages: Vec<Stage>,
-    /// Direct-greedy wall time over cached-greedy wall time (the
-    /// tentpole speedup this PR tracks; ≥5× on the full corpus).
-    pub greedy_speedup: f64,
-    /// Whether the cached and direct greedy traces chose identical
-    /// features with identical errors. `false` is possible on tie-heavy
-    /// corpora: `dist2` sums features 4-lane-chunked while the cache
-    /// accumulates in selection order, and that last-bit reassociation
-    /// can flip exactly-tied nearest neighbors.
-    pub traces_match: bool,
-    /// |cached − direct| final-step error. Both traces end on the full
-    /// feature set, so this gap isolates FP-tie flips from genuine
-    /// divergence; validation rejects reports where it exceeds 5%.
-    pub final_error_gap: f64,
-    /// Wall time of deriving every sweep gamma's kernel from the cached
-    /// distance matrix, over the wall time of ONE direct kernel build
-    /// (distances + exp). The sweep's budget: G gammas must cost no more
-    /// than ~2 full kernel builds; validation rejects reports above 2.0.
-    pub gamma_sweep_ratio: f64,
     /// Batched serving latency from the `serve_replay` stage: the whole
     /// suite replayed through the `loopml-serve` serving loop over a
     /// trained SVM artifact, p50/p95/p99 per batch.
@@ -130,9 +114,9 @@ pub struct Legality {
 /// The corpus-scaling block of the perf report. The scaled stages rerun
 /// labeling, greedy selection and the LOGO sweep over a
 /// `corpus_scale`-multiplied corpus with `LOOPML_TILE_BYTES` pinned well
-/// below the dense n×n matrix, so the tiled/streaming paths are the
-/// ones being timed and the recorded peak distance-buffer footprint
-/// proves the quadratic buffer was never materialized.
+/// below the dense n×n matrix, so greedy rebuilds its strips every
+/// round and the recorded peak distance-buffer footprint proves no n×n
+/// distance buffer was ever materialized.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scaling {
     /// Multiplier the scaled stages ran at (≥ 2; `repro perf` defaults
@@ -154,12 +138,11 @@ pub struct Scaling {
     /// greedy and sweep stages; validation rejects reports where it
     /// exceeds `tile_budget_bytes`.
     pub peak_distance_bytes: u64,
-    /// Peak concurrently-live RBF kernel bytes (per-gamma matrices plus
-    /// the streaming sweep's strips) across the same scaled stages. The
-    /// distance gate alone would be vacuous if kernels blew past the
-    /// budget unobserved; validation bounds this at 2·`dense_bytes` —
-    /// the strips plus the one assembled kernel of the single-gamma
-    /// scaled grid.
+    /// Peak concurrently-live RBF kernel bytes across the same scaled
+    /// stages. The distance gate alone would be vacuous if kernels blew
+    /// past the budget unobserved; validation bounds this at
+    /// `dense_bytes` — the one kernel of the single-gamma scaled grid,
+    /// which the streaming pass fills in place.
     pub peak_kernel_bytes: u64,
 }
 
@@ -186,8 +169,6 @@ impl PerfReport {
                 "{{\"schema\":\"{schema}\",\"scale\":\"{scale}\",",
                 "\"threads\":{threads},\"n_examples\":{n},\"n_features\":{d},",
                 "\"stages\":[{stages}],",
-                "\"derived\":{{\"greedy_speedup\":{speedup:.3},\"traces_match\":{traces},",
-                "\"final_error_gap\":{gap:.6},\"gamma_sweep_ratio\":{ratio:.3}}},",
                 "\"scaling\":{{\"corpus_scale\":{sc_factor},\"base_examples\":{sc_base},",
                 "\"scaled_examples\":{sc_scaled},\"label_ratio\":{sc_label:.3},",
                 "\"dense_bytes\":{sc_dense},\"tile_budget_bytes\":{sc_budget},",
@@ -207,10 +188,6 @@ impl PerfReport {
             n = self.n_examples,
             d = self.n_features,
             stages = stages.join(","),
-            speedup = self.greedy_speedup,
-            traces = self.traces_match,
-            gap = self.final_error_gap,
-            ratio = self.gamma_sweep_ratio,
             sc_factor = self.scaling.corpus_scale,
             sc_base = self.scaling.base_examples,
             sc_scaled = self.scaling.scaled_examples,
@@ -241,21 +218,14 @@ fn ms(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-fn traces_equal(a: &[GreedyStep], b: &[GreedyStep]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(x, y)| x.index == y.index && x.error == y.error)
-}
-
 /// Runs the perf suite at `scale` and returns the report. Stage
 /// boundaries mirror the real pipeline: corpus synthesis is untimed
-/// setup, then labeling, greedy selection (cached and direct), LOOCV
-/// for NN and SVM on the informative subset, and the Figure 4
-/// leave-one-benchmark-out evaluation are each timed once. The
-/// corpus-scaling stages rerun labeling / greedy / sweep at
-/// `corpus_scale`× (values ≤ 1 mean "use the default 4×") under a tile
-/// budget that forces the streaming paths.
+/// setup, then labeling, greedy selection, LOOCV for NN and SVM on the
+/// informative subset, and the Figure 4 leave-one-benchmark-out
+/// evaluation are each timed once. The corpus-scaling stages rerun
+/// labeling / greedy / sweep at `corpus_scale`× (values ≤ 1 mean "use
+/// the default 4×") under a tile budget below the dense n×n matrix, so
+/// greedy rebuilds its strips every round.
 pub fn run(scale: Scale, corpus_scale: usize) -> PerfReport {
     let mut stages = Vec::new();
     let label_config = LabelConfig::paper(SwpMode::Disabled);
@@ -277,47 +247,21 @@ pub fn run(scale: Scale, corpus_scale: usize) -> PerfReport {
     let (n, d) = (full_dataset.len(), full_dataset.dims());
     eprintln!("[perf] {n} labeled loops, {d} features");
 
-    // Greedy forward selection over ALL features: the cached incremental
-    // path vs the direct recompute-the-subset path, same steps, so the
-    // wall-time ratio is the tentpole speedup.
+    // Greedy forward selection over ALL features on the incremental
+    // distance cache.
     eprintln!("[perf] greedy selection, incremental distance cache ({d} steps)...");
-    let (r, cached_trace) = bench_once("greedy_nn_cached", || greedy_forward_nn(&full_dataset, d));
-    let cached_ms = ms(r.min());
+    let (r, greedy_trace) = bench_once("greedy_nn_cached", || greedy_forward_nn(&full_dataset, d));
+    let wall_ms = ms(r.min());
     stages.push(Stage {
         name: r.name,
-        wall_ms: cached_ms,
+        wall_ms,
     });
-
-    eprintln!("[perf] greedy selection, direct recompute baseline ({d} steps)...");
-    let (r, direct_trace) = bench_once("greedy_nn_direct", || {
-        greedy_forward(&full_dataset, d, nn1_training_error)
-    });
-    let direct_ms = ms(r.min());
-    stages.push(Stage {
-        name: r.name,
-        wall_ms: direct_ms,
-    });
-    let traces_match = traces_equal(&cached_trace, &direct_trace);
-    let final_error_gap = match (cached_trace.last(), direct_trace.last()) {
-        (Some(a), Some(b)) => (a.error - b.error).abs(),
-        _ => 1.0,
-    };
-    let greedy_speedup = direct_ms / cached_ms.max(1e-9);
-    eprintln!(
-        "[perf] greedy: cached {cached_ms:.0} ms, direct {direct_ms:.0} ms \
-         ({greedy_speedup:.1}x, traces {}, final error gap {final_error_gap:.4})",
-        if traces_match {
-            "identical"
-        } else {
-            "differ (FP ties)"
-        }
-    );
 
     // The informative subset (§7 protocol), assembled from work already
-    // done: top-5 mutual information ∪ first 5 cached greedy picks.
+    // done: top-5 mutual information ∪ first 5 greedy picks.
     let mis = mutual_information(&full_dataset);
     let mut cols: Vec<usize> = mis.iter().take(5).map(|s| s.index).collect();
-    for step in cached_trace.iter().take(5) {
+    for step in greedy_trace.iter().take(5) {
         if !cols.contains(&step.index) {
             cols.push(step.index);
         }
@@ -356,41 +300,6 @@ pub fn run(scale: Scale, corpus_scale: usize) -> PerfReport {
         sweep_report.selected_svm.c,
         sweep_report.selected_radius,
         sweep_report.distance_builds
-    );
-
-    // The sweep's budget claim, measured directly: deriving every grid
-    // gamma's kernel from a cached distance matrix must cost no more
-    // than ~2 direct kernel builds (each of which recomputes distances).
-    // Measured over the full 38-feature vectors — the "full kernel
-    // build" the budget is phrased against.
-    let xs = MinMaxNormalizer::fit(&full_dataset.x).transform(&full_dataset.x);
-    let dm = DistanceMatrix::compute(&xs);
-    let gammas = SweepConfig::default().svm.gammas;
-    // Both sides are a handful of milliseconds at quick scale; repeat
-    // each unit a few times inside the single timed run so the ratio is
-    // not at the mercy of one scheduler hiccup.
-    const KERNEL_REPS: usize = 3;
-    let (r_direct, _) = bench_once("kernel_direct", || {
-        let mut built = Vec::with_capacity(KERNEL_REPS);
-        for _ in 0..KERNEL_REPS {
-            built.push(KernelCache::compute(&xs, 1.0));
-        }
-        built.len()
-    });
-    let (r_derived, _) = bench_once("kernel_gamma_sweep", || {
-        let mut built = Vec::with_capacity(KERNEL_REPS * gammas.len());
-        for _ in 0..KERNEL_REPS {
-            for &g in &gammas {
-                built.push(KernelCache::from_distances(&dm, g));
-            }
-        }
-        built.len()
-    });
-    let gamma_sweep_ratio = ms(r_derived.min()) / ms(r_direct.min()).max(1e-9);
-    eprintln!(
-        "[perf] {}-gamma kernel derivation vs one direct build: {:.2}x (budget 2.0)",
-        gammas.len(),
-        gamma_sweep_ratio
     );
 
     eprintln!("[perf] Figure 4 leave-one-benchmark-out evaluation...");
@@ -512,8 +421,8 @@ pub fn run(scale: Scale, corpus_scale: usize) -> PerfReport {
     // Corpus-scaling stages: the same labeling / greedy / sweep paths
     // over a multiplied corpus. The tile budget is pinned (through
     // LOOPML_TILE_BYTES) to a quarter of the dense scaled matrix, so
-    // greedy and the sweep are forced onto the tiled/streaming paths
-    // and the recorded peak proves n×n was never materialized.
+    // greedy cannot keep its strips between rounds, and the recorded
+    // peak proves no n×n distance buffer was ever materialized.
     let sf = if corpus_scale > 1 { corpus_scale } else { 4 };
     eprintln!("[perf] corpus-scaling stages at {sf}x...");
     let scaled_suite = full_suite(&scale.suite_config_at(sf));
@@ -530,7 +439,7 @@ pub fn run(scale: Scale, corpus_scale: usize) -> PerfReport {
     let scaled_groups = benchmark_groups(&labeled_scaled);
     let sn = scaled_full.len();
     let dense_bytes = 8 * (sn as u64) * (sn as u64);
-    // Strictly below dense (forcing the streaming strategies) but roomy
+    // Strictly below dense (forcing per-round strip rebuilds) but roomy
     // enough that per-worker strips never clamp to a footprint the
     // budget itself cannot cover.
     let workers = loopml_rt::num_threads() as u64;
@@ -626,10 +535,6 @@ pub fn run(scale: Scale, corpus_scale: usize) -> PerfReport {
         n_examples: n,
         n_features: d,
         stages,
-        greedy_speedup,
-        traces_match,
-        final_error_gap,
-        gamma_sweep_ratio,
         serve,
         legality,
         scaling,
@@ -651,38 +556,6 @@ pub fn validate(doc: &Json) -> Result<Vec<(String, f64)>, String> {
             Some(v) if v.is_finite() && v >= 1.0 => {}
             other => return Err(format!("bad {key}: {other:?}")),
         }
-    }
-    let derived = doc.get("derived").ok_or("missing derived")?;
-    match derived.get("greedy_speedup").and_then(Json::as_num) {
-        Some(v) if v.is_finite() && v > 0.0 => {}
-        other => return Err(format!("bad derived.greedy_speedup: {other:?}")),
-    }
-    match derived.get("traces_match") {
-        Some(Json::Bool(true)) => {}
-        // `false` was once tolerated as an FP-tie artifact. The cached
-        // path now accumulates per-column distances in the same order as
-        // the direct path, so any mismatch means the incremental cache
-        // is computing something else — fail the report.
-        Some(Json::Bool(false)) => {
-            return Err(
-                "derived.traces_match is false: cached and direct greedy traces diverged".into(),
-            )
-        }
-        _ => return Err("derived.traces_match missing".into()),
-    }
-    match derived.get("final_error_gap").and_then(Json::as_num) {
-        // FP-tie flips move the final error by at most a handful of
-        // examples; a gap past 5% means the incremental cache is wrong.
-        Some(v) if v.is_finite() && (0.0..=0.05).contains(&v) => {}
-        other => return Err(format!("bad derived.final_error_gap: {other:?}")),
-    }
-    match derived.get("gamma_sweep_ratio").and_then(Json::as_num) {
-        // The sweep's budget: deriving all grid gammas from the cached
-        // matrix must cost no more than ~2 direct kernel builds. In
-        // practice it measures well under 1.0 (one exp-pass per gamma vs
-        // an O(n²·d) distance pass each); past 2.0 the caching is broken.
-        Some(v) if v.is_finite() && v > 0.0 && v <= 2.0 => {}
-        other => return Err(format!("bad derived.gamma_sweep_ratio: {other:?}")),
     }
     let serve = doc.get("serve").ok_or("missing serve")?;
     for key in ["batches", "batch_size", "predictions"] {
@@ -765,14 +638,14 @@ pub fn validate(doc: &Json) -> Result<Vec<(String, f64)>, String> {
         ));
     }
     // The kernel side of the budget claim: the scaled sweep runs a
-    // single-gamma grid, so at most one full kernel plus its streaming
-    // strips may ever be live — 2·dense. Anything past that means the
-    // sweep is hoarding kernels the distance gate cannot see.
+    // single-gamma grid whose kernel the streaming pass fills in place,
+    // so at most one full kernel may ever be live — dense. Anything past
+    // that means kernels the distance gate cannot see were hoarded.
     let kpeak = int("peak_kernel_bytes")?;
-    if kpeak > 2.0 * dense {
+    if kpeak > dense {
         return Err(format!(
-            "scaling.peak_kernel_bytes {kpeak} exceeds 2x dense_bytes {dense} — \
-             more than one scaled kernel (plus strips) was resident"
+            "scaling.peak_kernel_bytes {kpeak} exceeds dense_bytes {dense} — \
+             more than one scaled kernel was resident"
         ));
     }
     let stages = doc
@@ -846,10 +719,6 @@ mod tests {
                     wall_ms: 6.25,
                 },
             ],
-            greedy_speedup: 8.4,
-            traces_match: true,
-            final_error_gap: 0.0015,
-            gamma_sweep_ratio: 0.42,
             serve: Replay {
                 batches: 10,
                 batch_size: 32,
@@ -876,7 +745,7 @@ mod tests {
                 dense_bytes: 13_107_200,
                 tile_budget_bytes: 3_276_800,
                 peak_distance_bytes: 3_000_000,
-                peak_kernel_bytes: 20_000_000,
+                peak_kernel_bytes: 13_107_200,
             },
         }
     }
@@ -887,12 +756,6 @@ mod tests {
         let stages = validate(&doc).expect("validates");
         assert_eq!(stages[0], ("label".to_string(), 120.5));
         assert_eq!(stages[1], ("loocv_nn".to_string(), 6.25));
-        assert_eq!(
-            doc.get("derived")
-                .and_then(|d| d.get("greedy_speedup"))
-                .and_then(Json::as_num),
-            Some(8.4)
-        );
         let scaling = doc.get("scaling").expect("scaling block");
         assert_eq!(
             scaling.get("corpus_scale").and_then(Json::as_num),
@@ -904,7 +767,7 @@ mod tests {
         );
         assert_eq!(
             scaling.get("peak_kernel_bytes").and_then(Json::as_num),
-            Some(20_000_000.0)
+            Some(13_107_200.0)
         );
     }
 
@@ -915,11 +778,7 @@ mod tests {
             good.replace(SCHEMA, "something/else"),
             good.replace("\"stages\":[", "\"stages\":[],\"x\":["),
             good.replace("120.5", "-3.0"),
-            good.replace("\"final_error_gap\":0.001500", "\"final_error_gap\":0.5"),
             good.replace("\"threads\":4", "\"threads\":0"),
-            // A gamma sweep past ~2 kernel builds blows the budget.
-            good.replace("\"gamma_sweep_ratio\":0.420", "\"gamma_sweep_ratio\":2.7"),
-            good.replace(",\"gamma_sweep_ratio\":0.420", ""),
             // The serve block is required, integral where it counts,
             // and its percentiles must be ordered.
             good.replace(",\"serve\":{", ",\"serve_was\":{"),
@@ -934,9 +793,6 @@ mod tests {
                 "\"oracle_skip_speedup\":3.500",
                 "\"oracle_skip_speedup\":0.000",
             ),
-            // Diverged greedy traces are a correctness failure, not a
-            // tolerated FP artifact.
-            good.replace("\"traces_match\":true", "\"traces_match\":false"),
             // The scaling block is required; its factor must be ≥ 2, its
             // labeling ratio near-linear, its tile budget strictly below
             // dense, and its peak bounded by the budget.
@@ -952,12 +808,12 @@ mod tests {
                 "\"peak_distance_bytes\":9999999",
             ),
             // Kernel bytes are part of the budget claim: the field is
-            // required, and a peak past 2x dense means kernels the
-            // distance gate cannot see were hoarded.
-            good.replace(",\"peak_kernel_bytes\":20000000", ""),
+            // required, and a peak past dense — even by one byte — means
+            // kernels the distance gate cannot see were hoarded.
+            good.replace(",\"peak_kernel_bytes\":13107200", ""),
             good.replace(
-                "\"peak_kernel_bytes\":20000000",
-                "\"peak_kernel_bytes\":99999999",
+                "\"peak_kernel_bytes\":13107200",
+                "\"peak_kernel_bytes\":13107201",
             ),
         ];
         for bad in cases {

@@ -3,13 +3,14 @@
 //! Builds the standard experiment context, runs the
 //! [`loopml_ml::sweep`] subsystem (SVM gamma × C grid plus NN radii,
 //! plus the distance-free tree / forest / MLP grids, every cell scored
-//! by leave-one-benchmark-out accuracy over exactly one shared distance
-//! matrix), and emits a machine-readable `loopml/sweep/v1` document to
-//! stdout and `SWEEP_ml.json`. The document carries every family's
-//! grid, the selected point per family, the cross-family winner,
-//! wall-time, and the distance-build counter — the CLI exits nonzero if
-//! that counter is not exactly 1 or if fewer than two families were
-//! scored, so the single-build and real-comparison guarantees are
+//! by leave-one-benchmark-out accuracy over exactly one distance pass),
+//! and emits a machine-readable `loopml/sweep/v1` document to stdout and
+//! `SWEEP_ml.json`. The document carries every family's grid, the
+//! selected point per family, the cross-family winner, wall-time, and
+//! the distance-build counter. The CLI reads the written document back
+//! through [`validate`], which fails unless the counter is exactly 1,
+//! at least two families were scored and the winner names a known
+//! family — so the single-build and real-comparison guarantees are
 //! enforced on every CI run, not just in unit tests.
 
 use std::time::Instant;
@@ -133,23 +134,13 @@ impl SweepRun {
             w_acc = r.winner_accuracy,
         )
     }
-
-    /// Families the sweep actually scored (non-empty cell grids). The
-    /// CLI requires at least two, so the cross-family winner is a real
-    /// comparison and not a walkover.
-    pub fn families_scored(&self) -> usize {
-        let r = &self.report;
-        usize::from(!r.nn_cells.is_empty())
-            + usize::from(!r.svm_cells.is_empty())
-            + usize::from(!r.tree_cells.is_empty())
-            + usize::from(!r.forest_cells.is_empty())
-            + usize::from(!r.mlp_cells.is_empty())
-    }
 }
 
-/// Validates a parsed `SWEEP_ml.json` document; returns the
-/// distance-build count (the thing CI asserts is 1).
-pub fn validate(doc: &Json) -> Result<u64, String> {
+/// Validates a parsed `SWEEP_ml.json` document: well-formed sections,
+/// exactly one distance build, at least two families with scored cells
+/// (so the cross-family winner is a real comparison and not a
+/// walkover), and a winner from the family vocabulary.
+pub fn validate(doc: &Json) -> Result<(), String> {
     if doc.get("schema").and_then(Json::as_str) != Some(SWEEP_SCHEMA) {
         return Err(format!("schema is not {SWEEP_SCHEMA:?}"));
     }
@@ -163,6 +154,7 @@ pub fn validate(doc: &Json) -> Result<u64, String> {
             other => return Err(format!("bad {key}: {other:?}")),
         }
     }
+    let mut scored = 0;
     for (section, cell_key, sel_key) in [
         ("svm", "gamma", "c"),
         ("nn", "radius", "radius"),
@@ -177,6 +169,7 @@ pub fn validate(doc: &Json) -> Result<u64, String> {
             .get("cells")
             .and_then(Json::as_arr)
             .ok_or_else(|| format!("{section}.cells is not an array"))?;
+        scored += usize::from(!cells.is_empty());
         for c in cells {
             for key in [cell_key, "accuracy"] {
                 match c.get(key).and_then(Json::as_num) {
@@ -208,9 +201,15 @@ pub fn validate(doc: &Json) -> Result<u64, String> {
         other => return Err(format!("bad winner.accuracy: {other:?}")),
     }
     match doc.get("distance_builds").and_then(Json::as_num) {
-        Some(v) if v.is_finite() && v >= 0.0 => Ok(v as u64),
-        other => Err(format!("bad distance_builds: {other:?}")),
+        Some(1.0) => {}
+        other => return Err(format!("distance_builds is {other:?}, expected exactly 1")),
     }
+    if scored < 2 {
+        return Err(format!(
+            "only {scored} model family scored; the cross-family winner needs >= 2"
+        ));
+    }
+    Ok(())
 }
 
 /// Builds the context at `scale` and sweeps the default grid. The
@@ -349,7 +348,7 @@ mod tests {
     fn sweep_run_serializes_to_valid_json() {
         let run = sample_run();
         let doc = Json::parse(&run.to_json()).expect("parses");
-        assert_eq!(validate(&doc), Ok(1));
+        assert_eq!(validate(&doc), Ok(()));
         assert_eq!(
             doc.get("svm")
                 .and_then(|s| s.get("selected"))
@@ -378,7 +377,6 @@ mod tests {
                 .and_then(Json::as_num),
             Some(8.0)
         );
-        assert_eq!(sample_run().families_scored(), 5);
     }
 
     #[test]
@@ -402,13 +400,28 @@ mod tests {
     }
 
     #[test]
-    fn validate_surfaces_the_build_counter() {
+    fn validate_rejects_extra_distance_builds() {
         let two = sample_run()
             .to_json()
             .replace("\"distance_builds\":1", "\"distance_builds\":2");
-        let doc = Json::parse(&two).unwrap();
-        // validate reports, the CLI enforces: a count of 2 is structurally
-        // valid JSON but `repro sweep` exits nonzero on it.
-        assert_eq!(validate(&doc), Ok(2));
+        let err = validate(&Json::parse(&two).unwrap()).unwrap_err();
+        assert!(err.contains("distance_builds"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_one_family_document() {
+        // Only NN scored: a well-formed document whose winner won a
+        // walkover.
+        let mut run = sample_run();
+        run.report.svm_cells.clear();
+        run.report.tree_cells.clear();
+        run.report.forest_cells.clear();
+        run.report.mlp_cells.clear();
+        let doc = Json::parse(&run.to_json()).unwrap();
+        let err = validate(&doc).unwrap_err();
+        assert!(err.contains("only 1 model family"), "{err}");
+        // Two scored families pass.
+        run.report.tree_cells = sample_run().report.tree_cells;
+        assert_eq!(validate(&Json::parse(&run.to_json()).unwrap()), Ok(()));
     }
 }

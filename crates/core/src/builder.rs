@@ -41,10 +41,10 @@ use crate::pipeline::{benchmark_groups, informative_features, to_dataset};
 /// Typed run configuration for [`PipelineBuilder`], consumed once at
 /// [`build`](PipelineBuilder::build).
 ///
-/// This replaces the builder's older accumulated toggles — `.resilient()`
-/// arming the fault-tolerant path, `.tune_svm()` / `.tune_nn()` arming
-/// sweeps, lint levels riding in via the environment — with one struct
-/// that states the whole run policy in a single place. The default is
+/// One struct states the whole run policy in a single place — whether
+/// labeling takes the fault-tolerant path, which model families are
+/// tuned by a sweep, and the lint level — instead of per-concern builder
+/// toggles or environment variables. The default is
 /// the paper's plain run: no resilience wrapper (unless `LOOPML_FAULTS`
 /// forces it), no tuning, lint as the label config armed it.
 #[derive(Debug, Clone, Default)]
@@ -119,8 +119,7 @@ impl PipelineBuilder {
     }
 
     /// Sets the whole run policy in one place (resilience, tuning,
-    /// lint). Replaces any previously accumulated configuration,
-    /// including from the deprecated per-toggle methods.
+    /// lint). Replaces any previously set configuration.
     pub fn configure(mut self, config: PipelineConfig) -> Self {
         self.config = config;
         self
@@ -187,38 +186,6 @@ impl PipelineBuilder {
     /// Trains on all 38 features, skipping feature selection.
     pub fn all_features(mut self) -> Self {
         self.feature_count = None;
-        self
-    }
-
-    /// Labels through the fault-tolerant path
-    /// ([`label_suite_resilient`]): retries, quarantine and (when
-    /// configured) checkpointing, with the degradation accounting kept
-    /// on the pipeline. Without this call, `build` still switches to the
-    /// resilient path automatically when `LOOPML_FAULTS` is active, so
-    /// chaos runs never crash the builder.
-    #[deprecated(note = "set `PipelineConfig::resilience` via `configure`")]
-    pub fn resilient(mut self, cfg: ResilienceConfig) -> Self {
-        self.config.resilience = Some(cfg);
-        self
-    }
-
-    /// Sweeps the SVM gamma × C grid by leave-one-benchmark-out accuracy
-    /// during `build` (one shared distance matrix, see
-    /// [`loopml_ml::sweep`]); [`Pipeline::svm_params`] then returns the
-    /// winner instead of the paper defaults.
-    #[deprecated(note = "set `PipelineConfig::tune_svm` via `configure`")]
-    pub fn tune_svm(mut self, grid: SvmGrid) -> Self {
-        self.config.tune_svm = Some(grid);
-        self
-    }
-
-    /// Sweeps the NN neighborhood radius over `radii` by
-    /// leave-one-benchmark-out accuracy during `build`;
-    /// [`Pipeline::nn_radius`] then returns the winner instead of the
-    /// paper's 0.3.
-    #[deprecated(note = "set `PipelineConfig::tune_nn` via `configure`")]
-    pub fn tune_nn(mut self, radii: Vec<f64>) -> Self {
-        self.config.tune_nn = Some(radii);
         self
     }
 
@@ -533,7 +500,6 @@ impl Pipeline {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the forwarder tests below exercise the old toggle API
 mod tests {
     use super::*;
     use crate::heuristics::UnrollHeuristic;
@@ -621,8 +587,11 @@ mod tests {
         let radii = vec![0.2, 0.3, 0.5, 0.8];
         let p = quick()
             .exact()
-            .tune_svm(grid.clone())
-            .tune_nn(radii.clone())
+            .configure(PipelineConfig {
+                tune_svm: Some(grid.clone()),
+                tune_nn: Some(radii.clone()),
+                ..PipelineConfig::default()
+            })
             .build();
         let sweep = p.sweep.as_ref().expect("tuning ran");
         assert_eq!(sweep.svm_cells.len(), 4);
@@ -670,28 +639,17 @@ mod tests {
 
     #[test]
     fn tuning_one_axis_keeps_the_other_at_defaults() {
-        let p = quick().exact().tune_nn(vec![0.2, 0.4]).build();
+        let p = quick()
+            .exact()
+            .configure(PipelineConfig {
+                tune_nn: Some(vec![0.2, 0.4]),
+                ..PipelineConfig::default()
+            })
+            .build();
         let sweep = p.sweep.as_ref().expect("tuning ran");
         assert!(sweep.svm_cells.is_empty());
         assert_eq!(p.svm_params(), SvmParams::default());
         assert!([0.2, 0.4].contains(&p.nn_radius()));
-    }
-
-    #[test]
-    fn configure_matches_the_deprecated_toggles() {
-        let radii = vec![0.2, 0.4];
-        let via_config = quick()
-            .exact()
-            .configure(PipelineConfig {
-                tune_nn: Some(radii.clone()),
-                ..PipelineConfig::default()
-            })
-            .build();
-        let via_toggle = quick().exact().tune_nn(radii).build();
-        assert_eq!(via_config.labeled, via_toggle.labeled);
-        assert_eq!(via_config.nn_radius(), via_toggle.nn_radius());
-        let s = via_config.sweep.as_ref().expect("tuning ran");
-        assert!(s.svm_cells.is_empty());
     }
 
     #[test]
@@ -792,7 +750,12 @@ mod tests {
     fn resilient_build_matches_plain_build_without_faults() {
         let plain = quick().build();
         assert!(plain.degradation.is_none());
-        let resilient = quick().resilient(ResilienceConfig::default()).build();
+        let resilient = quick()
+            .configure(PipelineConfig {
+                resilience: Some(ResilienceConfig::default()),
+                ..PipelineConfig::default()
+            })
+            .build();
         let report = resilient.degradation.as_ref().expect("resilient path");
         assert_eq!(resilient.labeled, plain.labeled);
         assert!(report.quarantined.is_empty());

@@ -28,39 +28,40 @@
 //! `select_features` subset — the cached contributions are exact for
 //! every subset.
 //!
-//! [`DistanceMatrix`] is the companion full-subset cache: compute the
-//! pairwise distances once, then derive an RBF kernel for *any* gamma via
-//! [`crate::KernelCache::from_distances`] without re-touching feature
-//! vectors (the enabler for gamma sweeps).
+//! The pairwise passes of greedy selection, the RBF kernel and the sweep
+//! all stream row strips: a worker holds one `tile_rows × n` strip of
+//! the greedy base matrix, or one n-length distance row of the kernel
+//! fill behind [`crate::KernelCache`] and the sweep, at a time.
+//! [`tile_rows_for`] sizes the strips so the live distance bytes stay
+//! within [`tile_budget_bytes`]. A dense n×n evaluation is the same code
+//! with one strip of n rows.
 
-use crate::dataset::{dist2, Dataset, MinMaxNormalizer};
-use loopml_rt::par_map_threads;
+use crate::dataset::{Dataset, MinMaxNormalizer};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-global count of [`DistanceMatrix::compute`] invocations. The
-/// sweep subsystem's whole premise is "one distance pass, many kernels";
-/// this counter turns that claim into something a test (and the `repro
+/// Process-global count of pairwise distance passes. The sweep
+/// subsystem's whole premise is "one distance pass, many kernels"; this
+/// counter turns that claim into something a test (and the `repro
 /// sweep` report) can assert instead of trusting.
 static BUILDS: AtomicU64 = AtomicU64::new(0);
 
-/// Number of pairwise distance-matrix builds performed by this process so
-/// far. Monotonic; callers snapshot it before a sweep and assert the
-/// delta (the counter is process-global, so absolute values are
-/// meaningless in a multi-test process).
+/// Number of pairwise distance passes performed by this process so far.
+/// Monotonic; callers snapshot it before a sweep and assert the delta
+/// (the counter is process-global, so absolute values are meaningless
+/// in a multi-test process).
 pub fn distance_builds() -> u64 {
     BUILDS.load(Ordering::Relaxed)
 }
 
-/// Counts one streaming distance pass toward [`distance_builds`]. The
-/// streaming sweep touches every pair exactly once without materializing
-/// a [`DistanceMatrix`], so it still counts as one build — the "one
-/// distance pass, many kernels" invariant the sweep gate asserts.
-pub(crate) fn record_streaming_build() {
+/// Counts one pairwise distance pass toward [`distance_builds`]: a pass
+/// touches every pair of rows once, strip by strip, and never holds the
+/// n×n distance matrix.
+pub(crate) fn record_build() {
     BUILDS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Live bytes currently held in pairwise-distance buffers (dense
-/// matrices, greedy base matrices, streaming tiles).
+/// Live bytes currently held in pairwise-distance buffers (greedy base
+/// strips and the kernel pass's distance rows).
 static CUR_BYTES: AtomicU64 = AtomicU64::new(0);
 /// High-water mark of [`CUR_BYTES`] since the last reset.
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -103,8 +104,8 @@ impl Drop for DistAlloc {
     }
 }
 
-/// Live bytes currently held in RBF kernel buffers (full per-gamma
-/// matrices and the streaming sweep's kernel strips) — the *other*
+/// Live bytes currently held in RBF kernel buffers (one n×n matrix per
+/// gamma, filled in place strip by strip) — the *other*
 /// quadratic resident, called out in ROADMAP as the largest matrices the
 /// sweep keeps. Tracked by the same RAII discipline as the distance
 /// buffers so the scaling gate accounts for every n×n allocation, not
@@ -160,8 +161,8 @@ impl Drop for KernelAlloc {
     }
 }
 
-/// Default budget a full n×n distance buffer may occupy before the ML
-/// hot paths switch to tiled/streaming evaluation: 256 MiB.
+/// Default budget a full n×n distance buffer may occupy before greedy
+/// selection stops holding its base strips between rounds: 256 MiB.
 pub const DEFAULT_TILE_BUDGET_BYTES: u64 = 256 * 1024 * 1024;
 
 /// The distance-buffer budget in bytes. `LOOPML_TILE_BYTES` overrides
@@ -181,62 +182,16 @@ pub fn tile_budget_bytes() -> u64 {
 
 /// Tile height (rows per strip) such that `threads` concurrent strip
 /// buffers of `tile_rows × n` stay within the [`tile_budget_bytes`]
-/// budget. At least 1 (a single row is the smallest streamable unit),
-/// at most `n`.
+/// budget, and no taller than `ceil(n / threads)` so every worker gets a
+/// strip. At least 1 (a single row is the smallest streamable unit), at
+/// most `n`.
 pub fn tile_rows_for(n: usize, threads: usize) -> usize {
-    let workers = threads.max(1) as u64;
+    let workers = threads.max(1);
     let row_bytes = 8 * n.max(1) as u64;
-    let per_worker = tile_budget_bytes() / workers / row_bytes;
-    (per_worker as usize).clamp(1, n.max(1))
-}
-
-/// Full pairwise squared-distance matrix over a set of rows, stored flat
-/// row-major (`d2[i * n + j]`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistanceMatrix {
-    n: usize,
-    d2: Vec<f64>,
-}
-
-impl DistanceMatrix {
-    /// Computes all pairwise squared distances (symmetric; each pair is
-    /// computed once and mirrored).
-    pub fn compute(xs: &[Vec<f64>]) -> Self {
-        BUILDS.fetch_add(1, Ordering::Relaxed);
-        let n = xs.len();
-        // Record the dense buffer against the peak tracker. The matrix
-        // outlives this function, so the bytes are registered as a
-        // transient high-water bump rather than held live (callers that
-        // care about sustained footprint use the streaming paths, which
-        // account their tiles with RAII guards).
-        drop(DistAlloc::new((n * n * 8) as u64));
-        let mut d2 = vec![0.0; n * n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let v = dist2(&xs[i], &xs[j]);
-                d2[i * n + j] = v;
-                d2[j * n + i] = v;
-            }
-        }
-        DistanceMatrix { n, d2 }
-    }
-
-    /// Number of rows.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Squared distance between rows `i` and `j`.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        self.d2[i * self.n + j]
-    }
-
-    /// Row `i` of the matrix: squared distances from `i` to every row.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[f64] {
-        &self.d2[i * self.n..(i + 1) * self.n]
-    }
+    let per_worker = tile_budget_bytes() / workers as u64 / row_bytes;
+    (per_worker as usize)
+        .min(n.div_ceil(workers))
+        .clamp(1, n.max(1))
 }
 
 /// Per-feature pairwise squared-distance contributions over a normalized
@@ -291,19 +246,25 @@ impl FeatureDistCache {
         self.d
     }
 
-    /// Adds feature `f`'s pairwise contribution into `base` (a flat n×n
-    /// matrix): afterwards `base[i*n+j] += (x[i][f] − x[j][f])²`.
+    /// Adds feature `f`'s pairwise contribution into `strip`, a row strip
+    /// of the accumulated distance matrix holding rows `lo..lo + rows`
+    /// (`strip.len() == rows · n`; a full n×n matrix is the strip at
+    /// `lo = 0`): afterwards `strip[r*n+j] += (x[lo+r][f] − x[j][f])²`.
     ///
     /// # Panics
     ///
-    /// Panics if `f` is out of range or `base` has the wrong length.
-    pub fn accumulate(&self, f: usize, base: &mut [f64]) {
+    /// Panics if `f` is out of range or `strip` is not whole rows inside
+    /// the matrix.
+    pub fn accumulate(&self, f: usize, lo: usize, strip: &mut [f64]) {
         assert!(f < self.d, "feature index out of range");
-        assert_eq!(base.len(), self.n * self.n, "base must be n×n");
-        let col = &self.cols[f * self.n..(f + 1) * self.n];
-        for i in 0..self.n {
-            let ci = col[i];
-            let row = &mut base[i * self.n..(i + 1) * self.n];
+        let n = self.n;
+        let rows = strip.len() / n.max(1);
+        assert!(
+            strip.len() == rows * n && lo + rows <= n,
+            "strip must be whole rows of the n×n matrix"
+        );
+        let col = &self.cols[f * n..(f + 1) * n];
+        for (row, &ci) in strip.chunks_exact_mut(n.max(1)).zip(&col[lo..]) {
             for (b, &cj) in row.iter_mut().zip(col) {
                 let d = ci - cj;
                 *b += d * d;
@@ -351,154 +312,49 @@ impl FeatureDistCache {
         errors as f64 / n as f64
     }
 
-    /// Leave-self-out 1-NN training errors of every candidate subset
-    /// `S ∪ {f}`, `f` over `candidates`, in one fused sweep — the hot
-    /// loop of greedy forward selection. Equivalent to calling
-    /// [`nn1_error_with`](Self::nn1_error_with) per candidate but far
-    /// faster: each example's accumulated-distance row is read once and
-    /// scanned for all candidates while it is cache-hot, with a 4-lane
-    /// argmin instead of a branchy per-pair function call. Work is
-    /// parallelized over contiguous example blocks; error counts are
-    /// integers, so any block partition sums to the same result and the
-    /// output is bit-identical for every `threads` value.
+    /// Leave-self-out 1-NN error counts of every candidate subset
+    /// `S ∪ {f}`, `f` over `candidates`, over the examples of one row
+    /// strip — the hot loop of greedy forward selection. `strip` holds
+    /// rows `lo..` of the accumulated distance matrix of `S`. Equivalent
+    /// to [`nn1_error_with`](Self::nn1_error_with) per candidate, but
+    /// each row is read once and scanned for all candidates while it is
+    /// cache-hot, with a 4-lane argmin instead of a branchy per-pair
+    /// scan. Counts are integers, so summing them over any strip
+    /// partition gives the same totals.
     ///
     /// # Panics
     ///
-    /// Panics if any candidate is out of range or `base` has the wrong
-    /// length.
-    pub fn nn1_errors_batch(&self, base: &[f64], candidates: &[usize], threads: usize) -> Vec<f64> {
-        assert_eq!(base.len(), self.n * self.n, "base must be n×n");
-        for &f in candidates {
-            assert!(f < self.d, "feature index out of range");
-        }
-        let n = self.n;
-        if n < 2 {
-            return vec![1.0; candidates.len()];
-        }
-        let workers = threads.max(1).min(n);
-        let blocks: Vec<(usize, usize)> = (0..workers)
-            .map(|w| {
-                let lo = w * n / workers;
-                let hi = (w + 1) * n / workers;
-                (lo, hi)
-            })
-            .filter(|(lo, hi)| lo < hi)
-            .collect();
-        let counts = par_map_threads(threads, &blocks, |&(lo, hi)| {
-            let mut errs = vec![0u32; candidates.len()];
-            for i in lo..hi {
-                let brow = &base[i * n..(i + 1) * n];
-                self.scan_row_candidates(brow, i, candidates, &mut errs);
-            }
-            errs
-        });
-        Self::sum_error_counts(counts, candidates.len(), n)
-    }
-
-    /// Tiled sibling of [`nn1_errors_batch`](Self::nn1_errors_batch):
-    /// instead of reading a caller-held n×n accumulated matrix, each
-    /// worker materializes only a `tile_rows × n` strip of it (the
-    /// selected features' contributions re-accumulated in selection
-    /// order), scans the strip's rows for every candidate, and drops the
-    /// strip — peak memory is `workers · tile_rows · n · 8` bytes
-    /// instead of `n² · 8`.
-    ///
-    /// Bit-identical to the dense path at any `tile_rows` and any
-    /// `threads`: every matrix element is an independent left-to-right
-    /// sum over the selected features (the same operation sequence
-    /// [`accumulate`](Self::accumulate) performs), and each row's argmin
-    /// is the very same two-pass scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile_rows` is zero or any feature index is out of
-    /// range.
-    pub fn nn1_errors_batch_tiled(
+    /// Panics if the dataset has fewer than two examples (no row has a
+    /// neighbor) or any candidate is out of range.
+    pub(crate) fn nn1_errors_strip(
         &self,
-        selected: &[usize],
+        strip: &[f64],
+        lo: usize,
         candidates: &[usize],
-        tile_rows: usize,
-        threads: usize,
-    ) -> Vec<f64> {
-        assert!(tile_rows > 0, "tile_rows must be positive");
-        for &f in selected.iter().chain(candidates) {
-            assert!(f < self.d, "feature index out of range");
-        }
+    ) -> Vec<u32> {
         let n = self.n;
-        if n < 2 {
-            return vec![1.0; candidates.len()];
-        }
-        let tile = tile_rows.min(n);
-        let strips: Vec<(usize, usize)> = (0..n)
-            .step_by(tile)
-            .map(|lo| (lo, (lo + tile).min(n)))
-            .collect();
-        let counts = par_map_threads(threads, &strips, |&(lo, hi)| {
-            let rows = hi - lo;
-            let _acct = DistAlloc::new((rows * n * 8) as u64);
-            let mut strip = vec![0.0f64; rows * n];
-            // Accumulate the selected features in selection order — the
-            // same per-element operation sequence the dense accumulate
-            // performs, so every strip element is bitwise equal to the
-            // corresponding dense matrix element.
-            for &f in selected {
+        assert!(n >= 2, "leave-self-out 1-NN needs two examples");
+        let mut errs = vec![0u32; candidates.len()];
+        for (i, brow) in (lo..).zip(strip.chunks_exact(n)) {
+            for (e, &f) in errs.iter_mut().zip(candidates) {
                 let col = &self.cols[f * n..(f + 1) * n];
-                for (r, i) in (lo..hi).enumerate() {
-                    let ci = col[i];
-                    let row = &mut strip[r * n..(r + 1) * n];
-                    for (b, &cj) in row.iter_mut().zip(col) {
-                        let d = ci - cj;
-                        *b += d * d;
-                    }
+                let ci = col[i];
+                let below = min_col_range(brow, col, ci, 0, i);
+                let above = min_col_range(brow, col, ci, i + 1, n);
+                // `<=` sends exact cross-range ties to the first range:
+                // the lowest index wins, just like the serial ascending
+                // scan.
+                let nearest = if below <= above {
+                    find_col(brow, col, ci, 0, i, below)
+                } else {
+                    find_col(brow, col, ci, i + 1, n, above)
+                };
+                if self.labels[nearest] != self.labels[i] {
+                    *e += 1;
                 }
             }
-            let mut errs = vec![0u32; candidates.len()];
-            for (r, i) in (lo..hi).enumerate() {
-                let brow = &strip[r * n..(r + 1) * n];
-                self.scan_row_candidates(brow, i, candidates, &mut errs);
-            }
-            errs
-        });
-        Self::sum_error_counts(counts, candidates.len(), n)
-    }
-
-    /// One example's contribution to every candidate's error count:
-    /// finds `i`'s nearest neighbor under `S ∪ {f}` for each candidate
-    /// `f` (via the shared two-pass argmin) and bumps the candidate's
-    /// error if the labels differ. `brow` is row `i` of the accumulated
-    /// matrix of `S` — whether it came from a dense buffer or a strip.
-    fn scan_row_candidates(&self, brow: &[f64], i: usize, candidates: &[usize], errs: &mut [u32]) {
-        let n = self.n;
-        for (ci, &f) in candidates.iter().enumerate() {
-            let col = &self.cols[f * n..(f + 1) * n];
-            let ci_v = col[i];
-            let lo = min_col_range(brow, col, ci_v, 0, i);
-            let hi = min_col_range(brow, col, ci_v, i + 1, n);
-            // `<=` sends exact cross-range ties to the first
-            // range: the lowest index wins, just like the serial
-            // ascending scan.
-            let nearest = if lo <= hi {
-                find_col(brow, col, ci_v, 0, i, lo)
-            } else {
-                find_col(brow, col, ci_v, i + 1, n, hi)
-            };
-            if self.labels[nearest] != self.labels[i] {
-                errs[ci] += 1;
-            }
         }
-    }
-
-    /// Sums per-block integer error counts and converts to error rates.
-    /// Integer tallies make the result independent of the block
-    /// partition, hence of `threads` and `tile_rows`.
-    fn sum_error_counts(counts: Vec<Vec<u32>>, len: usize, n: usize) -> Vec<f64> {
-        let mut total = vec![0u64; len];
-        for block in counts {
-            for (t, c) in total.iter_mut().zip(block) {
-                *t += u64::from(c);
-            }
-        }
-        total.into_iter().map(|e| e as f64 / n as f64).collect()
+        errs
     }
 }
 
@@ -561,6 +417,7 @@ fn find_col(brow: &[f64], col: &[f64], ci: f64, lo: usize, hi: usize, target: f6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::dist2;
     use loopml_rt::Rng;
 
     fn arb_dataset(rng: &mut Rng, n: usize, d: usize) -> Dataset {
@@ -578,18 +435,38 @@ mod tests {
     }
 
     #[test]
-    fn distance_matrix_matches_dist2() {
-        let mut rng = Rng::seed_from_u64(7);
-        let data = arb_dataset(&mut rng, 12, 5);
-        let dm = DistanceMatrix::compute(&data.x);
-        for i in 0..data.len() {
-            for j in 0..data.len() {
-                assert_eq!(
-                    dm.get(i, j).to_bits(),
-                    dist2(&data.x[i], &data.x[j]).to_bits()
-                );
+    fn tile_rows_spread_across_workers_under_the_budget() {
+        // Far under the default budget: the height is capped at
+        // ceil(n / threads), so every worker gets a strip.
+        let budget = tile_budget_bytes();
+        let rows_in_budget = |n: usize, threads: u64| (budget / threads / (8 * n as u64)) as usize;
+        if rows_in_budget(1000, 4) >= 250 {
+            assert_eq!(tile_rows_for(1000, 4), 250);
+        }
+        if rows_in_budget(10, 3) >= 4 {
+            assert_eq!(tile_rows_for(10, 3), 4);
+            assert_eq!(tile_rows_for(10, 1), 10);
+        }
+        // Past the budget the budget alone sets the height.
+        let n = 1 << 22;
+        assert_eq!(tile_rows_for(n, 2), rows_in_budget(n, 2).clamp(1, n / 2));
+    }
+
+    #[test]
+    fn tile_rows_clamp_to_one_through_n() {
+        assert_eq!(tile_rows_for(1, 1), 1);
+        assert_eq!(tile_rows_for(1, 8), 1);
+        // No examples still yields a usable (empty-range) strip height.
+        assert_eq!(tile_rows_for(0, 4), 1);
+        // More workers than rows: one row each, never zero.
+        assert_eq!(tile_rows_for(7, 100), 1);
+        // Zero threads counts as one worker.
+        assert_eq!(tile_rows_for(5, 0), tile_rows_for(5, 1));
+        for n in [1usize, 2, 7, 64, 1000] {
+            for threads in [1usize, 2, 4, 16] {
+                let t = tile_rows_for(n, threads);
+                assert!((1..=n).contains(&t), "n {n}, threads {threads}: {t}");
             }
-            assert_eq!(dm.row(i)[i], 0.0);
         }
     }
 
@@ -616,7 +493,7 @@ mod tests {
             }
             let mut base = vec![0.0; n * n];
             for &f in &subset {
-                cache.accumulate(f, &mut base);
+                cache.accumulate(f, 0, &mut base);
             }
             let sub = data.select_features(&subset);
             let xs = MinMaxNormalizer::fit(&sub.x).transform(&sub.x);
@@ -652,17 +529,19 @@ mod tests {
                 let reference = nn1_training_error(&data.select_features(&cols));
                 let cached = cache.nn1_error_with(&base, f);
                 assert_eq!(cached, reference, "subset {cols:?}");
-                cache.accumulate(f, &mut base);
+                cache.accumulate(f, 0, &mut base);
                 subset.push(f);
             }
         }
     }
 
-    /// The batched sweep must agree exactly with the per-candidate path —
-    /// at every thread count, and on tie-heavy integer data where argmin
-    /// tie-breaking (lowest index wins) actually gets exercised.
+    /// The strip scan must agree exactly with the per-candidate path —
+    /// summed over every strip partition, and on tie-heavy integer data
+    /// where argmin tie-breaking (lowest index wins) actually gets
+    /// exercised. Each strip is accumulated on its own, so this also
+    /// checks that a strip's rows equal the full matrix's rows.
     #[test]
-    fn batch_matches_single_candidate_path() {
+    fn strip_scan_matches_single_candidate_path() {
         let mut rng = Rng::seed_from_u64(0x417);
         for round in 0..12 {
             let n = rng.gen_range(4..24usize);
@@ -684,21 +563,31 @@ mod tests {
                 )
             };
             let cache = FeatureDistCache::fit(&data);
+            let selected: Vec<usize> = if d > 1 { vec![d - 1] } else { vec![] };
             let mut base = vec![0.0; n * n];
-            if d > 1 {
-                cache.accumulate(d - 1, &mut base);
+            for &f in &selected {
+                cache.accumulate(f, 0, &mut base);
             }
             let candidates: Vec<usize> = (0..d).collect();
             let single: Vec<f64> = candidates
                 .iter()
                 .map(|&f| cache.nn1_error_with(&base, f))
                 .collect();
-            for threads in [1, 2, 4] {
-                assert_eq!(
-                    cache.nn1_errors_batch(&base, &candidates, threads),
-                    single,
-                    "round {round}, {threads} threads"
-                );
+            for tile in [1, 3, n] {
+                let mut totals = vec![0u32; d];
+                for lo in (0..n).step_by(tile) {
+                    let mut strip = vec![0.0; tile.min(n - lo) * n];
+                    for &f in &selected {
+                        cache.accumulate(f, lo, &mut strip);
+                    }
+                    assert_eq!(strip, base[lo * n..lo * n + strip.len()]);
+                    let counts = cache.nn1_errors_strip(&strip, lo, &candidates);
+                    for (t, c) in totals.iter_mut().zip(counts) {
+                        *t += c;
+                    }
+                }
+                let rates: Vec<f64> = totals.iter().map(|&c| c as f64 / n as f64).collect();
+                assert_eq!(rates, single, "round {round}, tile {tile}");
             }
         }
     }

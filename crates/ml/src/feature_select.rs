@@ -14,6 +14,7 @@
 use crate::dataset::{Dataset, MinMaxNormalizer};
 use crate::distcache::{tile_budget_bytes, tile_rows_for, DistAlloc, FeatureDistCache};
 use loopml_rt::{num_threads, par_map_threads};
+use std::sync::Mutex;
 
 /// Number of equal-width bins used to discretize continuous features
 /// before estimating probability mass functions.
@@ -165,68 +166,80 @@ pub fn greedy_forward_nn(data: &Dataset, steps: usize) -> Vec<GreedyStep> {
 /// [`greedy_forward_nn`] with an explicit worker count (used by the
 /// equivalence tests to force serial vs. multi-threaded execution).
 ///
-/// Picks its own memory strategy: when the accumulated n×n base matrix
-/// fits the [`tile_budget_bytes`] budget it is held dense and updated
-/// incrementally; past the budget the search switches to
-/// [`greedy_forward_nn_tiled_threads`], which streams row strips and
-/// never materializes the full matrix. Both strategies are bit-identical.
+/// The accumulated distance matrix of the selected features is held as
+/// row strips of [`tile_rows_for`] rows. When the whole n×n matrix fits
+/// the [`tile_budget_bytes`] budget the strips persist between rounds
+/// and each round adds only the newly picked feature; past the budget
+/// each worker rebuilds its strip every round and drops it, bounding
+/// peak memory at `workers · tile_rows · n · 8` bytes. Both strategies
+/// are bit-identical.
 pub fn greedy_forward_nn_threads(data: &Dataset, steps: usize, threads: usize) -> Vec<GreedyStep> {
-    let d = data.dims();
     let n = data.len();
-    let dense_bytes = (n as u64) * (n as u64) * 8;
-    if dense_bytes > tile_budget_bytes() {
-        let tile = tile_rows_for(n, threads);
-        return greedy_forward_nn_tiled_threads(data, steps, tile, threads);
-    }
-    let cache = FeatureDistCache::fit(data);
-    // Accumulated distance matrix of the selected subset (empty set: 0).
-    let _acct = DistAlloc::new(dense_bytes);
-    let mut base = vec![0.0; n * n];
-    let mut selected: Vec<usize> = Vec::new();
-    let mut trace = Vec::new();
-    for _ in 0..steps.min(d) {
-        let candidates: Vec<usize> = (0..d).filter(|c| !selected.contains(c)).collect();
-        let errors = cache.nn1_errors_batch(&base, &candidates, threads);
-        let Some((idx, err)) = argmin(&candidates, &errors) else {
-            break;
-        };
-        cache.accumulate(idx, &mut base);
-        selected.push(idx);
-        trace.push(GreedyStep {
-            index: idx,
-            name: data.feature_names[idx].clone(),
-            error: err,
-        });
-    }
-    trace
+    let persistent = (n as u64) * (n as u64) * 8 <= tile_budget_bytes();
+    greedy_nn_strips(data, steps, tile_rows_for(n, threads), persistent, threads)
 }
 
-/// Greedy forward 1-NN selection over row strips: like
-/// [`greedy_forward_nn`], but the accumulated base matrix is never
-/// materialized — each worker rebuilds a `tile_rows × n` strip of it
-/// (selected contributions re-accumulated in selection order) per
-/// round, bounding peak memory at `workers · tile_rows · n · 8` bytes.
-/// Trades O(n²·|S|) recompute work per round for the O(n²) memory; the
-/// trace is bit-identical to the dense path at any tile size and any
-/// thread count.
-pub fn greedy_forward_nn_tiled(data: &Dataset, steps: usize, tile_rows: usize) -> Vec<GreedyStep> {
-    greedy_forward_nn_tiled_threads(data, steps, tile_rows, num_threads())
+/// One row strip of the accumulated distance matrix (`base.len() / n`
+/// rows from its strip's first row), with the first `done` selected
+/// features summed in, in selection order.
+struct BaseStrip {
+    done: usize,
+    base: Vec<f64>,
+    _acct: DistAlloc,
 }
 
-/// [`greedy_forward_nn_tiled`] with an explicit worker count.
-pub fn greedy_forward_nn_tiled_threads(
+/// The body of [`greedy_forward_nn_threads`] at an explicit strip
+/// height and strategy: `persistent` strips are kept and brought up to
+/// date each round, otherwise every round rebuilds them from scratch.
+fn greedy_nn_strips(
     data: &Dataset,
     steps: usize,
     tile_rows: usize,
+    persistent: bool,
     threads: usize,
 ) -> Vec<GreedyStep> {
-    let d = data.dims();
+    let (n, d) = (data.len(), data.dims());
     let cache = FeatureDistCache::fit(data);
+    let tile = tile_rows.clamp(1, n.max(1));
+    let strips: Vec<(usize, Mutex<Option<BaseStrip>>)> = (0..n)
+        .step_by(tile)
+        .map(|lo| (lo, Mutex::new(None)))
+        .collect();
     let mut selected: Vec<usize> = Vec::new();
     let mut trace = Vec::new();
     for _ in 0..steps.min(d) {
         let candidates: Vec<usize> = (0..d).filter(|c| !selected.contains(c)).collect();
-        let errors = cache.nn1_errors_batch_tiled(&selected, &candidates, tile_rows, threads);
+        let errors = if n < 2 {
+            vec![1.0; candidates.len()]
+        } else {
+            let counts = par_map_threads(threads, &strips, |(lo, held)| {
+                let mut held = held.lock().expect("one worker per strip");
+                let strip = held.get_or_insert_with(|| {
+                    let len = tile.min(n - lo) * n;
+                    BaseStrip {
+                        done: 0,
+                        base: vec![0.0; len],
+                        _acct: DistAlloc::new(8 * len as u64),
+                    }
+                });
+                for &f in &selected[strip.done..] {
+                    cache.accumulate(f, *lo, &mut strip.base);
+                }
+                strip.done = selected.len();
+                let errs = cache.nn1_errors_strip(&strip.base, *lo, &candidates);
+                if !persistent {
+                    *held = None;
+                }
+                errs
+            });
+            let mut total = vec![0u64; candidates.len()];
+            for strip in counts {
+                for (t, c) in total.iter_mut().zip(strip) {
+                    *t += u64::from(c);
+                }
+            }
+            total.into_iter().map(|e| e as f64 / n as f64).collect()
+        };
         let Some((idx, err)) = argmin(&candidates, &errors) else {
             break;
         };
@@ -484,9 +497,9 @@ mod tests {
     }
 
     #[test]
-    fn tiled_greedy_argmin_matches_dense_at_boundary_sizes() {
-        // The sharded (row-strip) evaluation must be bit-identical to
-        // the dense base-matrix path at every tiling boundary: corpora
+    fn strip_greedy_matches_direct_greedy_at_boundary_sizes() {
+        // Persistent and rebuilt strips must both reproduce the direct
+        // recompute-the-subset trace at every tiling boundary: corpora
         // smaller than a tile, exactly one tile, one row past a tile,
         // and a ragged final strip — at 1 and 4 workers.
         for &tile in &[1usize, 7, 64] {
@@ -496,21 +509,15 @@ mod tests {
                 }
                 let data = boundary_dataset(tile, n);
                 let d = data.dims();
-                let dense_trace = greedy_forward_nn_threads(&data, d, 1);
-                let cache = FeatureDistCache::fit(&data);
-                let candidates: Vec<usize> = (0..d).collect();
-                let dense_errs = cache.nn1_errors_batch(&vec![0.0; n * n], &candidates, 1);
-                for &threads in &[1usize, 4] {
-                    let tiled_trace = greedy_forward_nn_tiled_threads(&data, d, tile, threads);
-                    assert_eq!(
-                        dense_trace, tiled_trace,
-                        "greedy trace diverged: tile {tile}, n {n}, threads {threads}"
-                    );
-                    let tiled_errs = cache.nn1_errors_batch_tiled(&[], &candidates, tile, threads);
-                    assert_eq!(
-                        dense_errs, tiled_errs,
-                        "argmin errors diverged: tile {tile}, n {n}, threads {threads}"
-                    );
+                let direct = greedy_forward_threads(&data, d, nn1_training_error, 1);
+                for persistent in [true, false] {
+                    for threads in [1usize, 4] {
+                        assert_eq!(
+                            direct,
+                            greedy_nn_strips(&data, d, tile, persistent, threads),
+                            "tile {tile}, n {n}, persistent {persistent}, threads {threads}"
+                        );
+                    }
                 }
             }
         }

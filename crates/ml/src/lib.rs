@@ -23,15 +23,20 @@
 //! * [`mutual_information`] / [`greedy_forward`] — the feature-selection
 //!   methods of Tables 3 and 4, with [`greedy_forward_nn`] the
 //!   incremental fast path for the 1-NN criterion;
-//! * [`DistanceMatrix`] / [`FeatureDistCache`] — pairwise-distance
-//!   caches: derive an RBF kernel for any gamma without re-touching
-//!   feature vectors, and evaluate greedy candidate subsets with an
-//!   O(n²) accumulate (distances are additive across features);
+//! * [`FeatureDistCache`] — per-feature distance columns that evaluate
+//!   greedy candidate subsets with an O(n²) accumulate (distances are
+//!   additive across features);
 //! * [`sweep`] — LOGO-scored hyperparameter selection across every model
 //!   family (SVM gamma × C grid, NN radius, tree depth/min-leaf, forest
-//!   size, MLP width/lr) over exactly one shared distance matrix, with a
+//!   size, MLP width/lr) over exactly one distance pass, with a
 //!   deterministic cross-family winner;
 //! * [`linalg`] — the small dense linear-algebra kernel underneath LDA.
+//!
+//! Every pairwise pass streams row strips sized by [`tile_rows_for`]
+//! under the [`tile_budget_bytes`] budget: the RBF kernels of the SVM
+//! and the sweep are filled row by row from one distance row per worker,
+//! and greedy selection holds its accumulated distances as row strips. A
+//! dense evaluation is the same code with one strip of n rows.
 //!
 //! Cross-validation folds, greedy candidates, and the one-vs-rest SVM
 //! trainers all fan out across [`loopml_rt::par_map`] workers
@@ -77,13 +82,12 @@ pub use classify::{Classifier, Constant};
 pub use dataset::{dist2, Dataset, MinMaxNormalizer};
 pub use distcache::{
     distance_builds, peak_distance_bytes, peak_kernel_bytes, reset_distance_bytes,
-    reset_kernel_bytes, tile_budget_bytes, tile_rows_for, DistanceMatrix, FeatureDistCache,
+    reset_kernel_bytes, tile_budget_bytes, tile_rows_for, FeatureDistCache,
     DEFAULT_TILE_BUDGET_BYTES,
 };
 pub use feature_select::{
-    greedy_forward, greedy_forward_nn, greedy_forward_nn_threads, greedy_forward_nn_tiled,
-    greedy_forward_nn_tiled_threads, greedy_forward_threads, mutual_information,
-    nn1_training_error, GreedyStep, ScoredFeature, MIS_BINS,
+    greedy_forward, greedy_forward_nn, greedy_forward_nn_threads, greedy_forward_threads,
+    mutual_information, nn1_training_error, GreedyStep, ScoredFeature, MIS_BINS,
 };
 pub use forest::{BaggedForest, ForestParams};
 pub use lda::Lda2d;
@@ -96,8 +100,8 @@ pub use mlp::{Mlp, MlpParams};
 pub use nn::{NearNeighbors, NnPrediction, DEFAULT_RADIUS};
 pub use svm::{decode, KernelCache, MulticlassSvm, SvmParams};
 pub use sweep::{
-    sweep, sweep_threads, sweep_tiled_threads, ForestCell, ForestGrid, MlpCell, MlpGrid,
-    RadiusCell, SvmCell, SvmGrid, SweepConfig, SweepReport, TreeCell, TreeGrid,
+    sweep, sweep_threads, ForestCell, ForestGrid, MlpCell, MlpGrid, RadiusCell, SvmCell, SvmGrid,
+    SweepConfig, SweepReport, TreeCell, TreeGrid,
 };
 pub use tree::{DecisionTree, TreeParams};
 

@@ -12,8 +12,9 @@
 
 use crate::classify::{expect_kind, Classifier};
 use crate::dataset::{dist2, Dataset, MinMaxNormalizer};
-use crate::distcache::{DistanceMatrix, KernelAlloc};
+use crate::distcache::{record_build, tile_rows_for, DistAlloc, KernelAlloc};
 use loopml_rt::{num_threads, par_map, par_map_threads, Json};
+use std::sync::Mutex;
 
 /// SVM hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,58 +98,99 @@ pub struct KernelCache {
 impl KernelCache {
     /// The zero-sized cache carried by unfitted machines.
     pub(crate) fn empty() -> Self {
-        KernelCache {
-            n: 0,
-            k: Vec::new(),
-            _alloc: KernelAlloc::new(0),
-        }
-    }
-    /// Computes the full kernel matrix over normalized rows: the pairwise
-    /// distances once, then the RBF entries via [`from_distances`].
-    ///
-    /// [`from_distances`]: KernelCache::from_distances
-    pub fn compute(xs: &[Vec<f64>], gamma: f64) -> Self {
-        Self::from_distances(&DistanceMatrix::compute(xs), gamma)
+        Self::zeroed(0)
     }
 
-    /// Derives the RBF kernel matrix (with the +1 bias term folded in)
-    /// from an already-computed pairwise distance matrix, for any gamma,
-    /// without re-touching feature vectors — compute the distances once,
-    /// sweep gamma for free.
-    pub fn from_distances(dm: &DistanceMatrix, gamma: f64) -> Self {
-        let n = dm.n();
-        let alloc = KernelAlloc::new((n * n * 8) as u64);
-        let mut k = vec![0.0; n * n];
-        for i in 0..n {
-            let drow = dm.row(i);
-            let krow = &mut k[i * n..(i + 1) * n];
-            for (kv, &d2) in krow.iter_mut().zip(drow) {
-                *kv = (-gamma * d2).exp() + 1.0;
+    /// An all-zero n×n cache, its bytes registered up front.
+    fn zeroed(n: usize) -> Self {
+        KernelCache {
+            n,
+            k: vec![0.0; n * n],
+            _alloc: KernelAlloc::new((n * n * 8) as u64),
+        }
+    }
+
+    /// Computes the full kernel matrix over normalized rows in one
+    /// streaming distance pass (see [`rbf_pass`](KernelCache::rbf_pass))
+    /// on the calling thread. Serial on purpose: loading an SVM artifact
+    /// runs this, and when it fanned out to worker threads, every later
+    /// request of the otherwise single-threaded `loopml-serve` daemon
+    /// measured ~1 ms slower (about +30% on `serve-mixed`, 2-vCPU Linux).
+    pub fn compute(xs: &[Vec<f64>], gamma: f64) -> Self {
+        let (mut kernels, _) = Self::rbf_pass(
+            xs,
+            &[gamma],
+            tile_rows_for(xs.len(), 1),
+            1,
+            || (),
+            |_, _, _| {},
+        );
+        kernels.pop().expect("one kernel per gamma")
+    }
+
+    /// One pairwise distance pass over `xs` that fills an RBF kernel for
+    /// every gamma — the one function that fills kernel rows, for
+    /// [`compute`](KernelCache::compute) and the sweep alike. Counts
+    /// once toward [`crate::distance_builds`].
+    ///
+    /// Rows are processed in strips of `tile_rows`, one strip per work
+    /// item. A worker computes one n-length row of squared distances at
+    /// a time, writes `exp(-γ·d²) + 1` straight into that row of each
+    /// gamma's final n×n buffer, and hands the distance row to
+    /// `visit(acc, i, row)` with its strip's accumulator (made by
+    /// `init`); the accumulators come back in strip order. So distance
+    /// memory is `workers · n · 8` bytes and the kernels are the only
+    /// n×n buffers. Every entry is computed independently and `dist2` is
+    /// bitwise symmetric, so the kernels are the same at any `tile_rows`
+    /// and `threads`.
+    pub(crate) fn rbf_pass<A: Send>(
+        xs: &[Vec<f64>],
+        gammas: &[f64],
+        tile_rows: usize,
+        threads: usize,
+        init: impl Fn() -> A + Sync,
+        visit: impl Fn(&mut A, usize, &[f64]) + Sync,
+    ) -> (Vec<KernelCache>, Vec<A>) {
+        record_build();
+        let n = xs.len();
+        let tile = tile_rows.clamp(1, n.max(1));
+        let mut kernels: Vec<KernelCache> = gammas.iter().map(|_| Self::zeroed(n)).collect();
+        // Each strip's rows of every kernel, as disjoint mutable slices;
+        // a work item locks its own strip once, so the lock never waits.
+        let mut strip_rows: Vec<Vec<&mut [f64]>> =
+            (0..n.div_ceil(tile)).map(|_| Vec::new()).collect();
+        for kc in &mut kernels {
+            for (rows, chunk) in strip_rows
+                .iter_mut()
+                .zip(kc.k.chunks_mut((tile * n).max(1)))
+            {
+                rows.push(chunk);
             }
         }
-        KernelCache {
-            n,
-            k,
-            _alloc: alloc,
-        }
-    }
-
-    /// Builds a kernel cache from already-materialized entries — the
-    /// streaming sweep derives RBF rows strip by strip (bit-identical to
-    /// [`from_distances`](KernelCache::from_distances)) and assembles
-    /// them here without ever holding a full distance matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is not n×n.
-    pub(crate) fn from_parts(n: usize, k: Vec<f64>) -> Self {
-        assert_eq!(k.len(), n * n, "kernel must be n×n");
-        let alloc = KernelAlloc::new((n * n * 8) as u64);
-        KernelCache {
-            n,
-            k,
-            _alloc: alloc,
-        }
+        let strips: Vec<(usize, Mutex<Vec<&mut [f64]>>)> = strip_rows
+            .into_iter()
+            .enumerate()
+            .map(|(s, rows)| (s * tile, Mutex::new(rows)))
+            .collect();
+        let accs = par_map_threads(threads, &strips, |(lo, krows)| {
+            let mut krows = krows.lock().expect("one worker per strip");
+            let _acct = DistAlloc::new((n * 8) as u64);
+            let mut d2row = vec![0.0f64; n];
+            let mut acc = init();
+            for (r, i) in (*lo..(lo + tile).min(n)).enumerate() {
+                for (d2, xj) in d2row.iter_mut().zip(xs) {
+                    *d2 = dist2(&xs[i], xj);
+                }
+                for (k, &g) in krows.iter_mut().zip(gammas) {
+                    for (kv, &d2) in k[r * n..(r + 1) * n].iter_mut().zip(&d2row) {
+                        *kv = (-g * d2).exp() + 1.0;
+                    }
+                }
+                visit(&mut acc, i, &d2row);
+            }
+            acc
+        });
+        (kernels, accs)
     }
 
     #[inline]
@@ -156,9 +198,8 @@ impl KernelCache {
         &self.k[i * self.n..(i + 1) * self.n]
     }
 
-    /// The flat n×n kernel entries — exposed so sweep tests can compare a
-    /// [`from_distances`](KernelCache::from_distances)-derived kernel
-    /// against a direct [`compute`](KernelCache::compute) bit-for-bit.
+    /// The flat n×n kernel entries — exposed so sweep tests can compare
+    /// kernels bit-for-bit.
     #[cfg(test)]
     pub(crate) fn entries(&self) -> &[f64] {
         &self.k
@@ -690,14 +731,25 @@ mod tests {
     }
 
     #[test]
-    fn kernel_from_distances_matches_compute() {
+    fn compute_matches_the_rbf_formula_at_every_strip_height() {
         let d = clusters();
         let xs = MinMaxNormalizer::fit(&d.x).transform(&d.x);
-        let dm = DistanceMatrix::compute(&xs);
+        let n = xs.len();
         for gamma in [0.5, 1.0, 4.0] {
-            let direct = KernelCache::compute(&xs, gamma);
-            let derived = KernelCache::from_distances(&dm, gamma);
-            assert_eq!(direct.k, derived.k, "gamma={gamma}");
+            let want: Vec<u64> = (0..n * n)
+                .map(|e| ((-gamma * dist2(&xs[e / n], &xs[e % n])).exp() + 1.0).to_bits())
+                .collect();
+            let bits = |kc: &KernelCache| kc.k.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&KernelCache::compute(&xs, gamma)),
+                want,
+                "gamma={gamma}"
+            );
+            for (tile, threads) in [(1, 1), (3, 4), (n, 2)] {
+                let (kcs, _) =
+                    KernelCache::rbf_pass(&xs, &[gamma], tile, threads, || (), |_, _, _| {});
+                assert_eq!(bits(&kcs[0]), want, "gamma={gamma}, tile={tile}");
+            }
         }
     }
 

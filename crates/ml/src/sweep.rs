@@ -1,26 +1,29 @@
-//! Hyperparameter sweeps over one cached distance matrix.
+//! Hyperparameter sweeps over one streaming distance pass.
 //!
 //! The paper fixes the NN radius (0.3) and the SVM kernel width by hand;
 //! this module *selects* them by the same train-many/pick-by-held-out-
 //! error discipline the paper applies to feature selection (§6). The
-//! expensive object every candidate shares is the n×n pairwise distance
-//! matrix over normalized features, and everything downstream is a cheap
-//! function of it:
+//! expensive work every candidate shares is the pairwise distance pass
+//! over normalized features, and everything downstream is a cheap
+//! function of each distance row:
 //!
-//! * an RBF kernel for any gamma is one exp-pass over the matrix
-//!   ([`KernelCache::from_distances`]) — never a second O(n²·d) distance
-//!   computation;
+//! * an RBF kernel for any gamma is one exp over the row, written
+//!   straight into that gamma's kernel ([`KernelCache::rbf_pass`]) —
+//!   never a second O(n²·d) distance computation;
 //! * a different C re-runs coordinate descent on an existing kernel;
-//! * a different NN radius is just a new threshold over cached d².
+//! * a different NN radius is just a new threshold over the same d² row.
 //!
-//! So the whole sweep performs **exactly one** [`DistanceMatrix::compute`]
-//! (asserted via [`distance_builds`] by tests and by the `repro sweep`
-//! report). Each grid cell is scored by leave-one-benchmark-out (LOGO)
-//! accuracy — the Figure 4/5 protocol: all loops of a benchmark are
-//! excluded from training when that benchmark is evaluated. For the SVM
-//! this uses the dual coordinate-descent trainer's active-set restriction:
-//! dual variables stay zero outside the training fold, so the full-corpus
-//! kernel serves every fold without per-fold kernels.
+//! The pass runs in row strips ([`tile_rows_for`] sizes them), so only
+//! `workers · n · 8` distance bytes are ever live and the per-gamma
+//! kernels are the only n×n buffers. The whole sweep performs **exactly
+//! one** distance pass (asserted via [`distance_builds`] by tests and by
+//! the `repro sweep` report). Each grid cell is scored by
+//! leave-one-benchmark-out (LOGO) accuracy — the Figure 4/5 protocol:
+//! all loops of a benchmark are excluded from training when that
+//! benchmark is evaluated. For the SVM this uses the dual
+//! coordinate-descent trainer's active-set restriction: dual variables
+//! stay zero outside the training fold, so the full-corpus kernel serves
+//! every fold without per-fold kernels.
 //!
 //! Beyond the paper's two models, the sweep carries a **model-family
 //! axis**: decision-tree depth × min-leaf, bagged-forest size, and MLP
@@ -28,15 +31,15 @@
 //! against the NN and SVM winners, yielding a single cross-family winner
 //! per report. These families are *distance-free* — each cell refits on
 //! raw feature vectors per fold (with per-fold min-max normalization,
-//! unlike the shared-matrix NN/SVM path; see DESIGN.md §16) and never
-//! touches the distance matrix, so [`distance_builds`] still advances by
+//! unlike the shared-pass NN/SVM path; see DESIGN.md §16) and never
+//! touches the distance pass, so [`distance_builds`] still advances by
 //! exactly one per sweep. Ties between families go to the fixed order
 //! NN, SVM, tree, forest, MLP.
 //!
 //! One deliberate deviation from a fully per-fold protocol: features are
 //! min-max normalized over the *full* dataset, not refitted per LOGO fold
-//! (refitting would need per-fold distance matrices, defeating the single
-//! shared cache). The same normalization is used for every cell, so the
+//! (refitting would need a distance pass per fold, defeating the single
+//! shared pass). The same normalization is used for every cell, so the
 //! comparison between cells — the argmax the sweep exists to find — is
 //! apples-to-apples. See DESIGN.md §10.
 //!
@@ -44,11 +47,8 @@
 //! of work is a pure function and per-cell error tallies are integers, so
 //! results are bit-identical at any `LOOPML_THREADS` setting.
 
-use crate::dataset::{dist2, Dataset, MinMaxNormalizer};
-use crate::distcache::{
-    distance_builds, record_streaming_build, tile_budget_bytes, tile_rows_for, DistAlloc,
-    DistanceMatrix, KernelAlloc,
-};
+use crate::dataset::{Dataset, MinMaxNormalizer};
+use crate::distcache::{distance_builds, tile_rows_for};
 use crate::forest::{BaggedForest, ForestParams};
 use crate::loocv::logo_accuracy_threads;
 use crate::mlp::{Mlp, MlpParams};
@@ -285,8 +285,8 @@ pub struct SweepReport {
     /// LOGO accuracy of [`winner_family`](Self::winner_family) (0.0 when
     /// no family scored anything).
     pub winner_accuracy: f64,
-    /// How many [`DistanceMatrix::compute`] calls the sweep performed —
-    /// the design says exactly one, and this is the proof. The
+    /// How many pairwise distance passes the sweep performed — the
+    /// design says exactly one, and this is the proof. The
     /// distance-free families (tree, forest, MLP) never advance it.
     pub distance_builds: u64,
     /// Number of examples swept over.
@@ -308,150 +308,60 @@ pub fn sweep(data: &Dataset, group: &[usize], cfg: &SweepConfig) -> SweepReport 
 
 /// [`sweep`] with an explicit worker count (used by the determinism tests
 /// to force serial vs. multi-threaded execution).
-///
-/// Picks its own memory strategy: when the n×n distance matrix fits the
-/// [`tile_budget_bytes`] budget it is materialized once and shared
-/// (every kernel an exp-pass over it); past the budget the sweep runs
-/// [`sweep_tiled_threads`], which streams the distance pass row by row
-/// and never holds more than `workers · n · 8` distance bytes. Both
-/// strategies are bit-identical.
 pub fn sweep_threads(
     data: &Dataset,
     group: &[usize],
     cfg: &SweepConfig,
     threads: usize,
 ) -> SweepReport {
-    let n = data.len();
-    let dense_bytes = (n as u64) * (n as u64) * 8;
-    if dense_bytes > tile_budget_bytes() {
-        return sweep_tiled_threads(data, group, cfg, tile_rows_for(n, threads), threads);
-    }
     assert!(!data.is_empty(), "cannot sweep an empty dataset");
     assert_eq!(group.len(), data.len(), "one group per example");
     let builds_before = distance_builds();
-
-    let xs = MinMaxNormalizer::fit(&data.x).transform(&data.x);
-    let dm = DistanceMatrix::compute(&xs);
-
-    // One kernel per gamma, each an exp-pass over the shared matrix.
-    let kernels: Vec<KernelCache> = par_map_threads(threads, &cfg.svm.gammas, |&g| {
-        KernelCache::from_distances(&dm, g)
-    });
-
-    // NN: a radius is a threshold over the cached d² — replicate
-    // `predict_excluding`'s vote semantics with the whole group excluded.
-    let radius_indices: Vec<usize> = (0..cfg.radii.len()).collect();
-    let nn_cells: Vec<RadiusCell> = par_map_threads(threads, &radius_indices, |&ri| {
-        let r2 = cfg.radii[ri] * cfg.radii[ri];
-        let mut correct = 0u64;
-        for i in 0..n {
-            if nn_predict_row(dm.row(i), i, data, group, r2) == data.y[i] {
-                correct += 1;
-            }
-        }
-        RadiusCell {
-            radius: cfg.radii[ri],
-            accuracy: correct as f64 / n as f64,
-        }
-    });
-
+    let tile_rows = tile_rows_for(data.len(), threads);
+    let (kernels, nn_cells) = distance_pass(data, group, cfg, tile_rows, threads);
     finish_report(data, group, cfg, threads, &kernels, nn_cells, builds_before)
 }
 
-/// Streaming sibling of [`sweep_threads`]: the pairwise distance pass is
-/// evaluated in row strips of `tile_rows` examples, each worker holding
-/// one n-length distance row at a time. Every row immediately feeds (a)
-/// each gamma's kernel strip — the same `exp(-γ·d²) + 1` entries
-/// [`KernelCache::from_distances`] produces — and (b) the NN radius
-/// tallies, then is overwritten; the full n×n distance matrix never
-/// exists. The assembled kernels are what the SVM trainer inherently
-/// needs, so kernel memory is unchanged; *distance* memory drops from
-/// `n² · 8` to `workers · n · 8` bytes. Counts toward
-/// [`distance_builds`] as one build (every pair is touched exactly
-/// once). Bit-identical to the dense path at any `tile_rows` and any
-/// `threads`: `dist2` is bitwise symmetric, so row-major evaluation
-/// equals the mirrored dense matrix, and all tallies are integers.
-///
-/// # Panics
-///
-/// Panics if `data` is empty, `group.len() != data.len()`, or
-/// `tile_rows` is zero.
-pub fn sweep_tiled_threads(
+/// The sweep's one pairwise distance pass, in row strips of `tile_rows`:
+/// every distance row fills each gamma's kernel row (see
+/// [`KernelCache::rbf_pass`]) and feeds the NN radius tallies, then is
+/// overwritten — the n×n distance matrix never exists. Radius tallies
+/// are integers, so the cells are the same at any `tile_rows` and
+/// `threads`.
+fn distance_pass(
     data: &Dataset,
     group: &[usize],
     cfg: &SweepConfig,
     tile_rows: usize,
     threads: usize,
-) -> SweepReport {
-    assert!(!data.is_empty(), "cannot sweep an empty dataset");
-    assert_eq!(group.len(), data.len(), "one group per example");
-    assert!(tile_rows > 0, "tile_rows must be positive");
-    let builds_before = distance_builds();
-
+) -> (Vec<KernelCache>, Vec<RadiusCell>) {
     let n = data.len();
     let xs = MinMaxNormalizer::fit(&data.x).transform(&data.x);
-    record_streaming_build();
-
-    let tile = tile_rows.min(n);
-    let strips: Vec<(usize, usize)> = (0..n)
-        .step_by(tile)
-        .map(|lo| (lo, (lo + tile).min(n)))
-        .collect();
     let r2s: Vec<f64> = cfg.radii.iter().map(|r| r * r).collect();
-    // The kernel strips are kernel bytes: together they hold every
-    // gamma's full n×n kernel and stay live until assembled below, so
-    // they are registered with the kernel accounting as one block —
-    // a deterministic upper bound on the gradual per-worker growth.
-    let _strip_acct = KernelAlloc::new((cfg.svm.gammas.len() * n * n * 8) as u64);
-    let per_strip: Vec<(Vec<Vec<f64>>, Vec<u64>)> =
-        par_map_threads(threads, &strips, |&(lo, hi)| {
-            let rows = hi - lo;
-            let _acct = DistAlloc::new((n * 8) as u64);
-            let mut d2row = vec![0.0f64; n];
-            let mut kstrips: Vec<Vec<f64>> = cfg
-                .svm
-                .gammas
-                .iter()
-                .map(|_| vec![0.0f64; rows * n])
-                .collect();
-            let mut correct = vec![0u64; cfg.radii.len()];
-            for (r, i) in (lo..hi).enumerate() {
-                for (j, d2) in d2row.iter_mut().enumerate() {
-                    *d2 = dist2(&xs[i], &xs[j]);
-                }
-                for (gi, &g) in cfg.svm.gammas.iter().enumerate() {
-                    let krow = &mut kstrips[gi][r * n..(r + 1) * n];
-                    for (kv, &d2) in krow.iter_mut().zip(&d2row) {
-                        *kv = (-g * d2).exp() + 1.0;
-                    }
-                }
-                for (ri, &r2) in r2s.iter().enumerate() {
-                    if nn_predict_row(&d2row, i, data, group, r2) == data.y[i] {
-                        correct[ri] += 1;
-                    }
+    let (kernels, tallies) = KernelCache::rbf_pass(
+        &xs,
+        &cfg.svm.gammas,
+        tile_rows,
+        threads,
+        || vec![0u64; r2s.len()],
+        |correct, i, d2row| {
+            // A radius is a threshold over the d² row: replicate
+            // `predict_excluding`'s vote semantics with the whole group
+            // excluded.
+            for (c, &r2) in correct.iter_mut().zip(&r2s) {
+                if nn_predict_row(d2row, i, data, group, r2) == data.y[i] {
+                    *c += 1;
                 }
             }
-            (kstrips, correct)
-        });
-
-    // Assemble each gamma's kernel from its strips (strip order is row
-    // order) and fold the per-strip NN tallies.
-    let kernels: Vec<KernelCache> = (0..cfg.svm.gammas.len())
-        .map(|gi| {
-            let mut k = Vec::with_capacity(n * n);
-            for (kstrips, _) in &per_strip {
-                k.extend_from_slice(&kstrips[gi]);
-            }
-            KernelCache::from_parts(n, k)
-        })
-        .collect();
-    let mut nn_correct = vec![0u64; cfg.radii.len()];
-    for (_, correct) in &per_strip {
+        },
+    );
+    let mut nn_correct = vec![0u64; r2s.len()];
+    for correct in &tallies {
         for (t, &c) in nn_correct.iter_mut().zip(correct) {
             *t += c;
         }
     }
-    let nn_cells: Vec<RadiusCell> = cfg
+    let nn_cells = cfg
         .radii
         .iter()
         .zip(&nn_correct)
@@ -460,8 +370,7 @@ pub fn sweep_tiled_threads(
             accuracy: c as f64 / n as f64,
         })
         .collect();
-
-    finish_report(data, group, cfg, threads, &kernels, nn_cells, builds_before)
+    (kernels, nn_cells)
 }
 
 /// Predicted label for example `i` given row `i` of the pairwise d²
@@ -497,9 +406,9 @@ fn nn_predict_row(d2row: &[f64], i: usize, data: &Dataset, group: &[usize], r2: 
     }
 }
 
-/// Shared tail of both sweep strategies: scores the SVM grid by LOGO
-/// over the per-gamma kernels, picks the winners, and assembles the
-/// report.
+/// The sweep after its distance pass: scores the SVM grid by LOGO over
+/// the per-gamma kernels, scores the distance-free families, picks the
+/// winners, and assembles the report.
 fn finish_report(
     data: &Dataset,
     group: &[usize],
@@ -607,7 +516,7 @@ fn finish_report(
     };
 
     // Distance-free families: every cell refits per LOGO fold directly on
-    // the feature vectors, never touching the distance matrix or the
+    // the feature vectors, never touching the distance pass or the
     // builds counter. Cells run in configuration order; the folds inside
     // each fan out across the workers with integer tallies, so any
     // thread count scores a cell identically.
@@ -863,32 +772,104 @@ mod tests {
 
     #[test]
     fn per_cell_kernels_match_direct_compute() {
-        // The sweep derives every gamma's kernel from the one cached
-        // distance matrix; each must equal a from-scratch KernelCache
-        // bit-for-bit.
-        let (data, _) = clusters();
+        // The sweep fills every gamma's kernel from its one distance
+        // pass; each must equal a from-scratch KernelCache bit-for-bit.
+        let (data, group) = clusters();
+        let cfg = SweepConfig::default();
         let xs = MinMaxNormalizer::fit(&data.x).transform(&data.x);
-        let dm = DistanceMatrix::compute(&xs);
-        for gamma in SvmGrid::default().gammas {
-            let direct = KernelCache::compute(&xs, gamma);
-            let derived = KernelCache::from_distances(&dm, gamma);
+        let (kernels, _) = distance_pass(&data, &group, &cfg, 5, 2);
+        for (gamma, derived) in cfg.svm.gammas.iter().zip(&kernels) {
+            let direct = KernelCache::compute(&xs, *gamma);
             assert_eq!(direct.entries(), derived.entries(), "gamma={gamma}");
         }
     }
 
+    /// The dense sweep body this module ran before every pass streamed
+    /// row strips: the full mirrored n×n distance matrix, one exp-pass
+    /// over it per gamma, and the NN radius tallies over its rows.
+    /// Test-only reference for [`distance_pass`].
+    fn dense_reference(
+        data: &Dataset,
+        group: &[usize],
+        cfg: &SweepConfig,
+    ) -> (Vec<Vec<f64>>, Vec<RadiusCell>) {
+        let n = data.len();
+        let xs = MinMaxNormalizer::fit(&data.x).transform(&data.x);
+        let mut d2 = vec![0.0; n * n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let v = crate::dataset::dist2(&xs[i], &xs[j]);
+                d2[i * n + j] = v;
+                d2[j * n + i] = v;
+            }
+        }
+        let kernels = cfg
+            .svm
+            .gammas
+            .iter()
+            .map(|&g| d2.iter().map(|&v| (-g * v).exp() + 1.0).collect())
+            .collect();
+        let nn_cells = cfg
+            .radii
+            .iter()
+            .map(|&radius| {
+                let r2 = radius * radius;
+                let mut correct = 0u64;
+                for i in 0..n {
+                    if nn_predict_row(&d2[i * n..(i + 1) * n], i, data, group, r2) == data.y[i] {
+                        correct += 1;
+                    }
+                }
+                RadiusCell {
+                    radius,
+                    accuracy: correct as f64 / n as f64,
+                }
+            })
+            .collect();
+        (kernels, nn_cells)
+    }
+
+    /// Tie-heavy random data: small-integer features (many exactly equal
+    /// distances), six groups.
+    fn tied_dataset(n: usize) -> (Dataset, Vec<usize>) {
+        let mut rng = loopml_rt::Rng::seed_from_u64(0x5713);
+        let x: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..3).map(|_| rng.gen_range(0..4) as f64).collect())
+            .collect();
+        let y: Vec<usize> = (0..n).map(|_| rng.gen_range(0..3usize)).collect();
+        let group: Vec<usize> = (0..n).map(|i| i % 6).collect();
+        let data = Dataset::new(
+            x,
+            y,
+            3,
+            vec!["a".into(), "b".into(), "c".into()],
+            (0..n).map(|i| format!("e{i}")).collect(),
+        );
+        (data, group)
+    }
+
     #[test]
-    fn tiled_sweep_is_bit_identical_to_dense() {
-        // The streaming sweep must reproduce the dense report exactly —
-        // cells, winners, and the one-build invariant — at every tile
-        // size and thread count.
-        let (data, group) = clusters();
+    fn strip_pass_is_bit_identical_to_the_dense_reference() {
+        // Kernels (compared by bits) and NN cells at every strip height
+        // — one row, ragged strips, one strip taller than n — and at
+        // one and four workers.
         let cfg = SweepConfig::default();
-        let dense = sweep_threads(&data, &group, &cfg, 1);
-        assert_eq!(dense.distance_builds, 1);
-        for tile in [1usize, 7, 64] {
-            for threads in [1usize, 4] {
-                let tiled = sweep_tiled_threads(&data, &group, &cfg, tile, threads);
-                assert_eq!(dense, tiled, "tile={tile} threads={threads}");
+        for (data, group) in [clusters(), tied_dataset(90)] {
+            let (want_kernels, want_nn) = dense_reference(&data, &group, &cfg);
+            for tile in [1usize, 7, 64] {
+                for threads in [1usize, 4] {
+                    let (kernels, nn_cells) = distance_pass(&data, &group, &cfg, tile, threads);
+                    assert_eq!(nn_cells, want_nn, "tile={tile} threads={threads}");
+                    assert_eq!(kernels.len(), want_kernels.len());
+                    for (got, want) in kernels.iter().zip(&want_kernels) {
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(got.entries()),
+                            bits(want),
+                            "tile={tile} threads={threads}"
+                        );
+                    }
+                }
             }
         }
     }
