@@ -100,7 +100,9 @@ fn bench_labeling() {
     })
     .print();
     bench("label_benchmark_10_loops_serial", || {
-        black_box(loopml::label_benchmark_threads(black_box(&b), 0, &cfg, 1))
+        loopml_rt::with_threads(1, || {
+            black_box(loopml::label_benchmark(black_box(&b), 0, &cfg))
+        })
     })
     .print();
 }

@@ -341,7 +341,7 @@ fn dispatch(spec: &Spec, args: &[String], cmd: fn(&Parsed) -> i32) -> i32 {
         print!("{}", spec.help());
         return EXIT_OK;
     }
-    parsed.apply_threads();
+    parsed.export_thread_count();
     cmd(&parsed)
 }
 

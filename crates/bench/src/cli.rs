@@ -121,7 +121,7 @@ impl Parsed {
     /// of the process. Safe to call unconditionally: a no-op when the
     /// flag was absent, and every pipeline output is bit-identical at
     /// any thread count.
-    pub fn apply_threads(&self) {
+    pub fn export_thread_count(&self) {
         if let Some(n) = self.threads {
             std::env::set_var("LOOPML_THREADS", n.to_string());
         }

@@ -15,7 +15,7 @@ use loopml_corpus::full_suite;
 use loopml_ir::Benchmark;
 use loopml_lint::{legality, LegalityStats, OracleMode, Report};
 use loopml_opt::OptConfig;
-use loopml_rt::{par_map_threads, Json};
+use loopml_rt::{par_map, Json};
 
 use crate::Scale;
 
@@ -104,19 +104,8 @@ impl LintScan {
 /// Scans `suite` at factors `1..=max_factor` under `mode`, folding
 /// per-benchmark results in suite order (thread-count invariant).
 pub fn scan_suite(suite: &[Benchmark], max_factor: u32, mode: OracleMode) -> LintScan {
-    scan_suite_threads(suite, max_factor, mode, loopml_rt::num_threads())
-}
-
-/// [`scan_suite`] with an explicit worker count (used by the
-/// thread-invariance tests).
-pub fn scan_suite_threads(
-    suite: &[Benchmark],
-    max_factor: u32,
-    mode: OracleMode,
-    threads: usize,
-) -> LintScan {
     let opt = OptConfig::default();
-    let per_bench = par_map_threads(threads, suite, |b| {
+    let per_bench = par_map(suite, |b| {
         let mut stats = LegalityStats::default();
         let mut report = Report::with_env_suppressions();
         let mut indirect = 0usize;
@@ -206,9 +195,12 @@ mod tests {
     #[test]
     fn scan_is_thread_invariant() {
         let suite = small_suite();
-        let a = scan_suite_threads(&suite, 4, OracleMode::ProverGated, 1);
+        let scan = |threads| {
+            loopml_rt::with_threads(threads, || scan_suite(&suite, 4, OracleMode::ProverGated))
+        };
+        let a = scan(1);
         for threads in [2, 5] {
-            let b = scan_suite_threads(&suite, 4, OracleMode::ProverGated, threads);
+            let b = scan(threads);
             assert_eq!(a.stats, b.stats);
             assert_eq!(a.to_json().to_string(), b.to_json().to_string());
         }

@@ -17,7 +17,7 @@ use loopml_lint::{validate_pipeline, LintLevel};
 use loopml_machine::{icache_entry_cost, loop_cost, LoopCost, MachineConfig, NoiseModel, SwpMode};
 use loopml_opt::{unroll_and_optimize, OptConfig};
 use loopml_rt::fault::site;
-use loopml_rt::{fault_key, num_threads, par_map_result_threads, par_map_threads, FaultPlane, Rng};
+use loopml_rt::{fault_key, par_map, par_map_result, FaultPlane, Rng};
 
 use crate::checkpoint::{config_fingerprint, read_checkpoint, write_checkpoint};
 use crate::fault::{
@@ -277,7 +277,9 @@ pub fn label_loop_attempt(
 /// leave-one-benchmark-out protocol.
 ///
 /// Loops are measured in parallel across the machine's cores (see
-/// [`loopml_rt::par_map`]; `LOOPML_THREADS` overrides the count). The
+/// [`loopml_rt::par_map`]; `LOOPML_THREADS` or a
+/// [`loopml_rt::with_threads`] scope sets the count, and one worker is
+/// the serial reference the equivalence tests compare against). The
 /// result is bit-identical to a serial pass at any thread count because
 /// each loop's noise stream is seeded independently — see [`label_loop`].
 pub fn label_benchmark(
@@ -285,22 +287,10 @@ pub fn label_benchmark(
     benchmark_index: usize,
     cfg: &LabelConfig,
 ) -> Vec<LabeledLoop> {
-    label_benchmark_threads(b, benchmark_index, cfg, num_threads())
-}
-
-/// [`label_benchmark`] with an explicit worker count. `threads <= 1` is
-/// the serial reference implementation the equivalence tests compare
-/// against.
-pub fn label_benchmark_threads(
-    b: &Benchmark,
-    benchmark_index: usize,
-    cfg: &LabelConfig,
-    threads: usize,
-) -> Vec<LabeledLoop> {
     // Hot-code footprint context: loops at rolled size + non-loop code.
     let footprint: u64 = hot_footprint(b);
     let pairs: Vec<(usize, &WeightedLoop)> = b.unrollable().collect();
-    par_map_threads(threads, &pairs, |&(li, w)| {
+    par_map(&pairs, |&(li, w)| {
         label_loop(w, li, benchmark_index, footprint, cfg)
     })
     .into_iter()
@@ -312,17 +302,8 @@ pub fn label_benchmark_threads(
 /// coarsest-grained work the labeling pipeline has). Nested inside each
 /// worker, the per-benchmark loop labeling runs serially.
 pub fn label_suite(suite: &[Benchmark], cfg: &LabelConfig) -> Vec<LabeledLoop> {
-    label_suite_threads(suite, cfg, num_threads())
-}
-
-/// [`label_suite`] with an explicit worker count.
-pub fn label_suite_threads(
-    suite: &[Benchmark],
-    cfg: &LabelConfig,
-    threads: usize,
-) -> Vec<LabeledLoop> {
     let indexed: Vec<(usize, &Benchmark)> = suite.iter().enumerate().collect();
-    par_map_threads(threads, &indexed, |&(bi, b)| label_benchmark(b, bi, cfg))
+    par_map(&indexed, |&(bi, b)| label_benchmark(b, bi, cfg))
         .into_iter()
         .flatten()
         .collect()
@@ -347,8 +328,6 @@ pub struct ResilienceConfig {
     pub ckpt_dir: Option<PathBuf>,
     /// Reuse valid checkpoints from `ckpt_dir` instead of relabeling.
     pub resume: bool,
-    /// Worker threads across benchmarks (0 → [`num_threads`]).
-    pub threads: usize,
 }
 
 impl Default for ResilienceConfig {
@@ -358,7 +337,6 @@ impl Default for ResilienceConfig {
             retry_budget: DEFAULT_RETRY_BUDGET,
             ckpt_dir: None,
             resume: false,
-            threads: 0,
         }
     }
 }
@@ -542,11 +520,6 @@ pub fn label_suite_resilient_sharded(
     shard: Option<Shard>,
 ) -> LabelRun {
     let fingerprint = config_fingerprint(cfg, res.retry_budget, &res.faults);
-    let threads = if res.threads == 0 {
-        num_threads()
-    } else {
-        res.threads
-    };
     let owned = |bi: usize| shard.is_none_or(|s| s.owns(bi));
     let owned_count = (0..suite.len()).filter(|&bi| owned(bi)).count();
 
@@ -570,7 +543,7 @@ pub fn label_suite_resilient_sharded(
         .enumerate()
         .filter(|&(bi, _)| owned(bi) && outcomes[bi].is_none())
         .collect();
-    let results = par_map_result_threads(threads, &todo, |&(bi, b)| {
+    let results = par_map_result(&todo, |&(bi, b)| {
         let outcome = label_benchmark_resilient(b, bi, cfg, res);
         if let Some(dir) = &res.ckpt_dir {
             if let Err(e) = write_checkpoint(dir, &outcome, fingerprint) {
@@ -646,6 +619,7 @@ pub fn label_suite_resilient_sharded(
 mod tests {
     use super::*;
     use loopml_corpus::{synthesize, SuiteConfig, ROSTER};
+    use loopml_rt::with_threads;
 
     fn quick_cfg() -> LabelConfig {
         LabelConfig {
@@ -742,13 +716,13 @@ mod tests {
         // names, order, and every runtime down to the last bit.
         let b = small_benchmark();
         let cfg = LabelConfig::paper(SwpMode::Disabled);
-        let serial = label_benchmark_threads(&b, 0, &cfg, 1);
+        let serial = with_threads(1, || label_benchmark(&b, 0, &cfg));
         assert!(!serial.is_empty());
         for threads in [2, 3, 4, 8] {
-            let parallel = label_benchmark_threads(&b, 0, &cfg, threads);
+            let parallel = with_threads(threads, || label_benchmark(&b, 0, &cfg));
             assert_eq!(serial, parallel, "diverged at {threads} threads");
         }
-        // And through the default (env/core-count) entry point.
+        // And at the default (env/core-count) worker count.
         assert_eq!(serial, label_benchmark(&b, 0, &cfg));
     }
 
@@ -756,9 +730,9 @@ mod tests {
     fn suite_labeling_is_identical_across_thread_counts() {
         let suite: Vec<Benchmark> = (0..3).map(|_| small_benchmark()).collect();
         let cfg = LabelConfig::paper(SwpMode::Disabled);
-        let serial = label_suite_threads(&suite, &cfg, 1);
+        let serial = with_threads(1, || label_suite(&suite, &cfg));
         for threads in [2, 5] {
-            assert_eq!(serial, label_suite_threads(&suite, &cfg, threads));
+            assert_eq!(serial, with_threads(threads, || label_suite(&suite, &cfg)));
         }
         assert_eq!(serial, label_suite(&suite, &cfg));
     }
@@ -779,22 +753,28 @@ mod tests {
             .collect()
     }
 
-    fn resilient(faults: FaultPlane, threads: usize) -> ResilienceConfig {
-        ResilienceConfig {
+    /// The resilient labeler over `suite` under `faults`, at `threads`
+    /// workers.
+    fn resilient(
+        suite: &[Benchmark],
+        cfg: &LabelConfig,
+        faults: FaultPlane,
+        threads: usize,
+    ) -> LabelRun {
+        let res = ResilienceConfig {
             faults,
-            threads,
             ..ResilienceConfig::default()
-        }
+        };
+        with_threads(threads, || label_suite_resilient(suite, cfg, &res))
     }
 
     #[test]
     fn fault_free_resilient_run_matches_legacy_exactly() {
         let suite = suite();
         let cfg = LabelConfig::paper(SwpMode::Disabled);
-        let legacy = label_suite_threads(&suite, &cfg, 1);
+        let legacy = with_threads(1, || label_suite(&suite, &cfg));
         for threads in [1, 4] {
-            let run =
-                label_suite_resilient(&suite, &cfg, &resilient(FaultPlane::disabled(), threads));
+            let run = resilient(&suite, &cfg, FaultPlane::disabled(), threads);
             assert_eq!(run.labeled, legacy, "diverged at {threads} threads");
             assert!(run.attempts.iter().all(|&a| a == 0));
             assert!(run.report.quarantined.is_empty());
@@ -826,7 +806,7 @@ mod tests {
         let suite = suite();
         let cfg = LabelConfig::paper(SwpMode::Disabled);
         let all = FaultPlane::new(1, 1.0).at_site(site::LABEL_MEASURE);
-        let run = label_suite_resilient(&suite, &cfg, &resilient(all, 1));
+        let run = resilient(&suite, &cfg, all, 1);
         assert!(run.labeled.is_empty());
         assert!(!run.report.quarantined.is_empty());
         assert!(run
@@ -847,7 +827,7 @@ mod tests {
         // makes eight faultable measurements per attempt, so even a 10%
         // rate faults most first attempts.)
         let some = FaultPlane::new(7, 0.1).at_site(site::LABEL_MEASURE);
-        let run = label_suite_resilient(&suite, &cfg, &resilient(some, 1));
+        let run = resilient(&suite, &cfg, some, 1);
         assert!(!run.labeled.is_empty());
         assert!(run.attempts.iter().any(|&a| a > 0), "some retries expected");
         assert!(run.report.fault_sites.contains_key(site::LABEL_MEASURE));
@@ -858,9 +838,9 @@ mod tests {
         let suite = suite();
         let cfg = LabelConfig::paper(SwpMode::Disabled);
         let plane = || FaultPlane::new(0xC4A05, 0.25);
-        let reference = label_suite_resilient(&suite, &cfg, &resilient(plane(), 1));
+        let reference = resilient(&suite, &cfg, plane(), 1);
         for threads in [2, 4] {
-            let run = label_suite_resilient(&suite, &cfg, &resilient(plane(), threads));
+            let run = resilient(&suite, &cfg, plane(), threads);
             assert_eq!(run, reference, "chaos diverged at {threads} threads");
         }
     }
@@ -872,7 +852,7 @@ mod tests {
         let plane = FaultPlane::new(0, 1.0)
             .at_site(site::LABEL_LOOP)
             .only_keys(vec![1]);
-        let run = label_suite_resilient(&suite, &cfg, &resilient(plane, 4));
+        let run = resilient(&suite, &cfg, plane, 4);
         let bench_q: Vec<_> = run
             .report
             .quarantined
@@ -909,14 +889,20 @@ mod tests {
     fn sharded_runs_partition_the_single_process_run() {
         let suite = suite();
         let cfg = LabelConfig::paper(SwpMode::Disabled);
-        let res = resilient(FaultPlane::disabled(), 2);
-        let full = label_suite_resilient(&suite, &cfg, &res);
+        let res = ResilienceConfig {
+            faults: FaultPlane::disabled(),
+            ..ResilienceConfig::default()
+        };
         let count = 2;
-        let shards: Vec<LabelRun> = (0..count)
-            .map(|index| {
-                label_suite_resilient_sharded(&suite, &cfg, &res, Some(Shard { index, count }))
-            })
-            .collect();
+        let (full, shards) = with_threads(2, || {
+            let full = label_suite_resilient(&suite, &cfg, &res);
+            let shards: Vec<LabelRun> = (0..count)
+                .map(|index| {
+                    label_suite_resilient_sharded(&suite, &cfg, &res, Some(Shard { index, count }))
+                })
+                .collect();
+            (full, shards)
+        });
 
         // Each shard's labels are the exact sub-sequence the full run
         // produced for its benchmarks, bit for bit.
@@ -956,10 +942,9 @@ mod tests {
         let full = ResilienceConfig {
             faults: plane(),
             ckpt_dir: Some(dir.clone()),
-            threads: 2,
             ..ResilienceConfig::default()
         };
-        let clean = label_suite_resilient(&suite, &cfg, &full);
+        let clean = with_threads(2, || label_suite_resilient(&suite, &cfg, &full));
 
         // Simulate dying partway: drop one checkpoint, resume.
         std::fs::remove_file(crate::checkpoint::checkpoint_path(&dir, 1, &suite[1].name))
@@ -968,7 +953,7 @@ mod tests {
             resume: true,
             ..full
         };
-        let resumed = label_suite_resilient(&suite, &cfg, &resume);
+        let resumed = with_threads(2, || label_suite_resilient(&suite, &cfg, &resume));
         assert_eq!(resumed.labeled, clean.labeled);
         assert_eq!(resumed.attempts, clean.attempts);
         assert_eq!(resumed.report.resumed, 2);

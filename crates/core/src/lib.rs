@@ -87,10 +87,10 @@ pub use heuristics::{
     LearnedHeuristic, OrcClassifier, OrcHeuristic, OrcSwpHeuristic, UnrollHeuristic,
 };
 pub use label::{
-    attempt_seed, hot_footprint, label_benchmark, label_benchmark_resilient,
-    label_benchmark_threads, label_loop, label_loop_attempt, label_loop_resilient, label_suite,
-    label_suite_resilient, label_suite_resilient_sharded, label_suite_threads, LabelConfig,
-    LabelRun, LabeledLoop, LoopOutcome, ResilienceConfig, Shard, DEFAULT_RETRY_BUDGET, MAX_UNROLL,
+    attempt_seed, hot_footprint, label_benchmark, label_benchmark_resilient, label_loop,
+    label_loop_attempt, label_loop_resilient, label_suite, label_suite_resilient,
+    label_suite_resilient_sharded, LabelConfig, LabelRun, LabeledLoop, LoopOutcome,
+    ResilienceConfig, Shard, DEFAULT_RETRY_BUDGET, MAX_UNROLL,
 };
 pub use pipeline::{
     benchmark_groups, feature_names, informative_features, loocv_accuracy, svm_training_error,

@@ -37,31 +37,39 @@
 //! with one strip of n rows.
 
 use crate::dataset::{Dataset, MinMaxNormalizer};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-global count of pairwise distance passes. The sweep
-/// subsystem's whole premise is "one distance pass, many kernels"; this
-/// counter turns that claim into something a test (and the `repro
-/// sweep` report) can assert instead of trusting.
-static BUILDS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of pairwise distance passes performed by this process so far.
-/// Monotonic; callers snapshot it before a sweep and assert the delta
-/// (the counter is process-global, so absolute values are meaningless
-/// in a multi-test process).
-pub fn distance_builds() -> u64 {
-    BUILDS.load(Ordering::Relaxed)
+thread_local! {
+    /// Per-thread count of pairwise distance passes. The sweep
+    /// subsystem's whole premise is "one distance pass, many kernels";
+    /// this counter turns that claim into something a test (and the
+    /// `repro sweep` report) can assert instead of trusting.
+    static BUILDS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Counts one pairwise distance pass toward [`distance_builds`]: a pass
-/// touches every pair of rows once, strip by strip, and never holds the
-/// n×n distance matrix.
+/// Number of pairwise distance passes started on the calling thread so
+/// far. Monotonic; callers snapshot it before a sweep and assert the
+/// delta. A pass counts on the thread that starts it, however many
+/// workers fill its strips, so the delta around a call covers exactly
+/// that call's passes — builds made concurrently on other threads (other
+/// tests in the same process, say) never leak in.
+pub fn distance_builds() -> u64 {
+    BUILDS.with(Cell::get)
+}
+
+/// Counts one pairwise distance pass toward [`distance_builds`] on the
+/// calling thread: a pass touches every pair of rows once, strip by
+/// strip, and never holds the n×n distance matrix.
 pub(crate) fn record_build() {
-    BUILDS.fetch_add(1, Ordering::Relaxed);
+    BUILDS.with(|c| c.set(c.get() + 1));
 }
 
 /// Live bytes currently held in pairwise-distance buffers (greedy base
-/// strips and the kernel pass's distance rows).
+/// strips and the kernel pass's distance rows). Process-global, unlike
+/// [`distance_builds`]: pool workers allocate the buffers, so the peak
+/// is a whole-process high-water mark, meaningful only when one
+/// measured run owns the process between resets.
 static CUR_BYTES: AtomicU64 = AtomicU64::new(0);
 /// High-water mark of [`CUR_BYTES`] since the last reset.
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -109,7 +117,7 @@ impl Drop for DistAlloc {
 /// quadratic resident, called out in ROADMAP as the largest matrices the
 /// sweep keeps. Tracked by the same RAII discipline as the distance
 /// buffers so the scaling gate accounts for every n×n allocation, not
-/// just distances.
+/// just distances. Process-global for the same reason as [`CUR_BYTES`].
 static KERNEL_CUR: AtomicU64 = AtomicU64::new(0);
 /// High-water mark of [`KERNEL_CUR`] since the last reset.
 static KERNEL_PEAK: AtomicU64 = AtomicU64::new(0);

@@ -13,7 +13,7 @@
 
 use crate::dataset::{Dataset, MinMaxNormalizer};
 use crate::distcache::{tile_budget_bytes, tile_rows_for, DistAlloc, FeatureDistCache};
-use loopml_rt::{num_threads, par_map_threads};
+use loopml_rt::{num_threads, par_map};
 use std::sync::Mutex;
 
 /// Number of equal-width bins used to discretize continuous features
@@ -114,26 +114,12 @@ pub fn greedy_forward<F>(data: &Dataset, steps: usize, train_error: F) -> Vec<Gr
 where
     F: Fn(&Dataset) -> f64 + Sync,
 {
-    greedy_forward_threads(data, steps, train_error, num_threads())
-}
-
-/// [`greedy_forward`] with an explicit worker count (used by the
-/// equivalence tests to force serial vs. multi-threaded execution).
-pub fn greedy_forward_threads<F>(
-    data: &Dataset,
-    steps: usize,
-    train_error: F,
-    threads: usize,
-) -> Vec<GreedyStep>
-where
-    F: Fn(&Dataset) -> f64 + Sync,
-{
     let d = data.dims();
     let mut selected: Vec<usize> = Vec::new();
     let mut trace = Vec::new();
     for _ in 0..steps.min(d) {
         let candidates: Vec<usize> = (0..d).filter(|c| !selected.contains(c)).collect();
-        let errors = par_map_threads(threads, &candidates, |&cand| {
+        let errors = par_map(&candidates, |&cand| {
             let mut cols = selected.clone();
             cols.push(cand);
             train_error(&data.select_features(&cols))
@@ -159,12 +145,6 @@ where
 /// [`nn1_training_error`] performs. Candidates run in parallel; traces
 /// are bit-identical to the direct path (both sum distances strictly
 /// left-to-right in selection order).
-pub fn greedy_forward_nn(data: &Dataset, steps: usize) -> Vec<GreedyStep> {
-    greedy_forward_nn_threads(data, steps, num_threads())
-}
-
-/// [`greedy_forward_nn`] with an explicit worker count (used by the
-/// equivalence tests to force serial vs. multi-threaded execution).
 ///
 /// The accumulated distance matrix of the selected features is held as
 /// row strips of [`tile_rows_for`] rows. When the whole n×n matrix fits
@@ -173,10 +153,10 @@ pub fn greedy_forward_nn(data: &Dataset, steps: usize) -> Vec<GreedyStep> {
 /// each worker rebuilds its strip every round and drops it, bounding
 /// peak memory at `workers · tile_rows · n · 8` bytes. Both strategies
 /// are bit-identical.
-pub fn greedy_forward_nn_threads(data: &Dataset, steps: usize, threads: usize) -> Vec<GreedyStep> {
+pub fn greedy_forward_nn(data: &Dataset, steps: usize) -> Vec<GreedyStep> {
     let n = data.len();
     let persistent = (n as u64) * (n as u64) * 8 <= tile_budget_bytes();
-    greedy_nn_strips(data, steps, tile_rows_for(n, threads), persistent, threads)
+    greedy_nn_strips(data, steps, tile_rows_for(n, num_threads()), persistent)
 }
 
 /// One row strip of the accumulated distance matrix (`base.len() / n`
@@ -188,7 +168,7 @@ struct BaseStrip {
     _acct: DistAlloc,
 }
 
-/// The body of [`greedy_forward_nn_threads`] at an explicit strip
+/// The body of [`greedy_forward_nn`] at an explicit strip
 /// height and strategy: `persistent` strips are kept and brought up to
 /// date each round, otherwise every round rebuilds them from scratch.
 fn greedy_nn_strips(
@@ -196,7 +176,6 @@ fn greedy_nn_strips(
     steps: usize,
     tile_rows: usize,
     persistent: bool,
-    threads: usize,
 ) -> Vec<GreedyStep> {
     let (n, d) = (data.len(), data.dims());
     let cache = FeatureDistCache::fit(data);
@@ -212,7 +191,7 @@ fn greedy_nn_strips(
         let errors = if n < 2 {
             vec![1.0; candidates.len()]
         } else {
-            let counts = par_map_threads(threads, &strips, |(lo, held)| {
+            let counts = par_map(&strips, |(lo, held)| {
                 let mut held = held.lock().expect("one worker per strip");
                 let strip = held.get_or_insert_with(|| {
                     let len = tile.min(n - lo) * n;
@@ -309,6 +288,7 @@ pub fn nn1_training_error(data: &Dataset) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use loopml_rt::with_threads;
 
     /// Label is a function of feature 0; feature 1 is noise; feature 2 is
     /// constant.
@@ -428,21 +408,21 @@ mod tests {
     #[test]
     fn parallel_greedy_is_bit_identical_to_serial() {
         let d = toy();
-        let serial = greedy_forward_threads(&d, 3, nn1_training_error, 1);
-        let serial_nn = greedy_forward_nn_threads(&d, 3, 1);
+        let serial = with_threads(1, || greedy_forward(&d, 3, nn1_training_error));
+        let serial_nn = with_threads(1, || greedy_forward_nn(&d, 3));
         for threads in [2, 4] {
             assert_eq!(
                 serial,
-                greedy_forward_threads(&d, 3, nn1_training_error, threads),
+                with_threads(threads, || greedy_forward(&d, 3, nn1_training_error)),
                 "direct greedy diverged at {threads} threads"
             );
             assert_eq!(
                 serial_nn,
-                greedy_forward_nn_threads(&d, 3, threads),
+                with_threads(threads, || greedy_forward_nn(&d, 3)),
                 "cached greedy diverged at {threads} threads"
             );
         }
-        // And through the default (env/core-count) entry points.
+        // And at the default (env/core-count) worker count.
         assert_eq!(serial, greedy_forward(&d, 3, nn1_training_error));
         assert_eq!(serial_nn, greedy_forward_nn(&d, 3));
     }
@@ -509,12 +489,12 @@ mod tests {
                 }
                 let data = boundary_dataset(tile, n);
                 let d = data.dims();
-                let direct = greedy_forward_threads(&data, d, nn1_training_error, 1);
+                let direct = with_threads(1, || greedy_forward(&data, d, nn1_training_error));
                 for persistent in [true, false] {
                     for threads in [1usize, 4] {
                         assert_eq!(
                             direct,
-                            greedy_nn_strips(&data, d, tile, persistent, threads),
+                            with_threads(threads, || greedy_nn_strips(&data, d, tile, persistent)),
                             "tile {tile}, n {n}, persistent {persistent}, threads {threads}"
                         );
                     }

@@ -40,9 +40,9 @@
 //!
 //! Cross-validation folds, greedy candidates, and the one-vs-rest SVM
 //! trainers all fan out across [`loopml_rt::par_map`] workers
-//! (`LOOPML_THREADS` overrides the count), with results bit-identical to
-//! serial runs — each unit of work is a pure function, the pool only
-//! reschedules it.
+//! (`LOOPML_THREADS` or a [`loopml_rt::with_threads`] scope sets the
+//! count), with results bit-identical to serial runs — each unit of work
+//! is a pure function, the pool only reschedules it.
 //!
 //! # Examples
 //!
@@ -86,22 +86,19 @@ pub use distcache::{
     DEFAULT_TILE_BUDGET_BYTES,
 };
 pub use feature_select::{
-    greedy_forward, greedy_forward_nn, greedy_forward_nn_threads, greedy_forward_threads,
-    mutual_information, nn1_training_error, GreedyStep, ScoredFeature, MIS_BINS,
+    greedy_forward, greedy_forward_nn, mutual_information, nn1_training_error, GreedyStep,
+    ScoredFeature, MIS_BINS,
 };
 pub use forest::{BaggedForest, ForestParams};
 pub use lda::Lda2d;
 pub use linalg::Matrix;
-pub use loocv::{
-    logo_accuracy, logo_accuracy_threads, logo_predictions, logo_predictions_threads, loocv,
-    loocv_nn, loocv_nn_threads, loocv_svm, loocv_threads, CvResult,
-};
+pub use loocv::{logo_accuracy, logo_predictions, loocv, loocv_nn, loocv_svm, CvResult};
 pub use mlp::{Mlp, MlpParams};
 pub use nn::{NearNeighbors, NnPrediction, DEFAULT_RADIUS};
 pub use svm::{decode, KernelCache, MulticlassSvm, SvmParams};
 pub use sweep::{
-    sweep, sweep_threads, ForestCell, ForestGrid, MlpCell, MlpGrid, RadiusCell, SvmCell, SvmGrid,
-    SweepConfig, SweepReport, TreeCell, TreeGrid,
+    sweep, ForestCell, ForestGrid, MlpCell, MlpGrid, RadiusCell, SvmCell, SvmGrid, SweepConfig,
+    SweepReport, TreeCell, TreeGrid,
 };
 pub use tree::{DecisionTree, TreeParams};
 

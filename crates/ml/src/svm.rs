@@ -13,7 +13,7 @@
 use crate::classify::{expect_kind, Classifier};
 use crate::dataset::{dist2, Dataset, MinMaxNormalizer};
 use crate::distcache::{record_build, tile_rows_for, DistAlloc, KernelAlloc};
-use loopml_rt::{num_threads, par_map, par_map_threads, Json};
+use loopml_rt::{par_map, with_threads, Json};
 use std::sync::Mutex;
 
 /// SVM hyperparameters.
@@ -117,14 +117,15 @@ impl KernelCache {
     /// request of the otherwise single-threaded `loopml-serve` daemon
     /// measured ~1 ms slower (about +30% on `serve-mixed`, 2-vCPU Linux).
     pub fn compute(xs: &[Vec<f64>], gamma: f64) -> Self {
-        let (mut kernels, _) = Self::rbf_pass(
-            xs,
-            &[gamma],
-            tile_rows_for(xs.len(), 1),
-            1,
-            || (),
-            |_, _, _| {},
-        );
+        let (mut kernels, _) = with_threads(1, || {
+            Self::rbf_pass(
+                xs,
+                &[gamma],
+                tile_rows_for(xs.len(), 1),
+                || (),
+                |_, _, _| {},
+            )
+        });
         kernels.pop().expect("one kernel per gamma")
     }
 
@@ -133,21 +134,21 @@ impl KernelCache {
     /// [`compute`](KernelCache::compute) and the sweep alike. Counts
     /// once toward [`crate::distance_builds`].
     ///
-    /// Rows are processed in strips of `tile_rows`, one strip per work
-    /// item. A worker computes one n-length row of squared distances at
-    /// a time, writes `exp(-γ·d²) + 1` straight into that row of each
-    /// gamma's final n×n buffer, and hands the distance row to
-    /// `visit(acc, i, row)` with its strip's accumulator (made by
-    /// `init`); the accumulators come back in strip order. So distance
-    /// memory is `workers · n · 8` bytes and the kernels are the only
-    /// n×n buffers. Every entry is computed independently and `dist2` is
+    /// Rows are processed in strips of `tile_rows`, one strip per
+    /// [`par_map`] work item. A worker computes one n-length row of
+    /// squared distances at a time, writes `exp(-γ·d²) + 1` straight
+    /// into that row of each gamma's final n×n buffer, and hands the
+    /// distance row to `visit(acc, i, row)` with its strip's accumulator
+    /// (made by `init`); the accumulators come back in strip order. So
+    /// distance memory is `workers · n · 8` bytes and the kernels are the
+    /// only n×n buffers. Every entry is computed independently and `dist2` is
     /// bitwise symmetric, so the kernels are the same at any `tile_rows`
-    /// and `threads`.
+    /// and worker count. The pass counts on the calling thread's
+    /// [`crate::distance_builds`], whichever workers fill the strips.
     pub(crate) fn rbf_pass<A: Send>(
         xs: &[Vec<f64>],
         gammas: &[f64],
         tile_rows: usize,
-        threads: usize,
         init: impl Fn() -> A + Sync,
         visit: impl Fn(&mut A, usize, &[f64]) + Sync,
     ) -> (Vec<KernelCache>, Vec<A>) {
@@ -172,7 +173,7 @@ impl KernelCache {
             .enumerate()
             .map(|(s, rows)| (s * tile, Mutex::new(rows)))
             .collect();
-        let accs = par_map_threads(threads, &strips, |(lo, krows)| {
+        let accs = par_map(&strips, |(lo, krows)| {
             let mut krows = krows.lock().expect("one worker per strip");
             let _acct = DistAlloc::new((n * 8) as u64);
             let mut d2row = vec![0.0f64; n];
@@ -341,18 +342,12 @@ impl MulticlassSvm {
     ///
     /// Panics if the dataset is empty.
     pub fn fit(data: &Dataset, params: SvmParams) -> Self {
-        Self::fit_threads(data, params, num_threads())
-    }
-
-    /// [`fit`](MulticlassSvm::fit) with an explicit worker count (used by
-    /// the equivalence tests to force serial vs. multi-threaded training).
-    pub fn fit_threads(data: &Dataset, params: SvmParams, threads: usize) -> Self {
         assert!(!data.is_empty(), "cannot fit to an empty dataset");
         let normalizer = MinMaxNormalizer::fit(&data.x);
         let xs = normalizer.transform(&data.x);
         let kernel = KernelCache::compute(&xs, params.gamma);
         let classes: Vec<usize> = (0..data.classes).collect();
-        let alphas = par_map_threads(threads, &classes, |&class| {
+        let alphas = par_map(&classes, |&class| {
             let labels: Vec<f64> = data
                 .y
                 .iter()
@@ -431,13 +426,6 @@ impl MulticlassSvm {
     /// per-example folds only read the trained machine, so they run in
     /// parallel, bit-identical to a serial pass.
     pub fn loo_predictions(&self) -> Vec<usize> {
-        self.loo_predictions_threads(num_threads())
-    }
-
-    /// [`loo_predictions`](MulticlassSvm::loo_predictions) with an
-    /// explicit worker count (used by the equivalence tests to force
-    /// serial vs. multi-threaded execution).
-    pub fn loo_predictions_threads(&self, threads: usize) -> Vec<usize> {
         let n = self.xs.len();
         // Per-class machinery computed once: one-vs-rest labels and the
         // support-vector active sets used for warm-start re-convergence.
@@ -456,7 +444,7 @@ impl MulticlassSvm {
             .collect();
 
         let indices: Vec<usize> = (0..n).collect();
-        par_map_threads(threads, &indices, |&i| {
+        par_map(&indices, |&i| {
             let mut decisions = Vec::with_capacity(self.classes);
             for c in 0..self.classes {
                 let labels = &labels_by_class[c];
@@ -746,8 +734,9 @@ mod tests {
                 "gamma={gamma}"
             );
             for (tile, threads) in [(1, 1), (3, 4), (n, 2)] {
-                let (kcs, _) =
-                    KernelCache::rbf_pass(&xs, &[gamma], tile, threads, || (), |_, _, _| {});
+                let (kcs, _) = with_threads(threads, || {
+                    KernelCache::rbf_pass(&xs, &[gamma], tile, || (), |_, _, _| {})
+                });
                 assert_eq!(bits(&kcs[0]), want, "gamma={gamma}, tile={tile}");
             }
         }
@@ -765,16 +754,18 @@ mod tests {
     fn parallel_training_and_loo_are_bit_identical_to_serial() {
         let d = clusters();
         let p = SvmParams::default();
-        let serial = MulticlassSvm::fit_threads(&d, p, 1);
-        let serial_loo = serial.loo_predictions_threads(1);
+        let fit_and_loo = |threads| {
+            with_threads(threads, || {
+                let svm = MulticlassSvm::fit(&d, p);
+                let loo = svm.loo_predictions();
+                (svm, loo)
+            })
+        };
+        let (serial, serial_loo) = fit_and_loo(1);
         for threads in [2, 4] {
-            let par = MulticlassSvm::fit_threads(&d, p, threads);
+            let (par, par_loo) = fit_and_loo(threads);
             assert_eq!(serial.alphas, par.alphas, "alphas diverged at {threads}");
-            assert_eq!(
-                serial_loo,
-                par.loo_predictions_threads(threads),
-                "LOO diverged at {threads}"
-            );
+            assert_eq!(serial_loo, par_loo, "LOO diverged at {threads}");
         }
         assert_eq!(serial_loo, MulticlassSvm::fit(&d, p).loo_predictions());
     }
@@ -812,10 +803,9 @@ mod tests {
             assert_eq!(svm.decision_values(xi), copy.decision_values(xi));
         }
         // The recomputed kernel also drives LOO identically.
-        assert_eq!(
-            svm.loo_predictions_threads(1),
-            copy.loo_predictions_threads(1)
-        );
+        with_threads(1, || {
+            assert_eq!(svm.loo_predictions(), copy.loo_predictions())
+        });
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! `workers · n · 8` distance bytes are ever live and the per-gamma
 //! kernels are the only n×n buffers. The whole sweep performs **exactly
 //! one** distance pass (asserted via [`distance_builds`] by tests and by
-//! the `repro sweep` report). Each grid cell is scored by
+//! the `repro sweep` report; the counter is per-thread and the pass
+//! counts on the thread that calls [`sweep`], so concurrent sweeps never
+//! see each other's builds). Each grid cell is scored by
 //! leave-one-benchmark-out (LOGO) accuracy — the Figure 4/5 protocol:
 //! all loops of a benchmark are excluded from training when that
 //! benchmark is evaluated. For the SVM this uses the dual
@@ -45,17 +47,18 @@
 //!
 //! Grid cells fan out across [`loopml_rt::par_map`] workers; every unit
 //! of work is a pure function and per-cell error tallies are integers, so
-//! results are bit-identical at any `LOOPML_THREADS` setting.
+//! results are bit-identical at any worker count (`LOOPML_THREADS`, or a
+//! [`loopml_rt::with_threads`] scope around the call).
 
 use crate::dataset::{Dataset, MinMaxNormalizer};
 use crate::distcache::{distance_builds, tile_rows_for};
 use crate::forest::{BaggedForest, ForestParams};
-use crate::loocv::logo_accuracy_threads;
+use crate::loocv::logo_accuracy;
 use crate::mlp::{Mlp, MlpParams};
 use crate::nn::DEFAULT_RADIUS;
 use crate::svm::{decision_at, decode, train_binary, KernelCache, SvmParams};
 use crate::tree::{DecisionTree, TreeParams};
-use loopml_rt::{num_threads, par_map_threads};
+use loopml_rt::{num_threads, par_map};
 
 /// The gamma × C grid swept for the SVM, plus the non-swept
 /// hyperparameters every cell shares.
@@ -286,8 +289,10 @@ pub struct SweepReport {
     /// no family scored anything).
     pub winner_accuracy: f64,
     /// How many pairwise distance passes the sweep performed — the
-    /// design says exactly one, and this is the proof. The
-    /// distance-free families (tree, forest, MLP) never advance it.
+    /// design says exactly one, and this is the proof. The delta of the
+    /// calling thread's [`distance_builds`] across the call, so other
+    /// threads' passes never count. The distance-free families (tree,
+    /// forest, MLP) never advance it.
     pub distance_builds: u64,
     /// Number of examples swept over.
     pub n_examples: usize,
@@ -303,23 +308,12 @@ pub struct SweepReport {
 ///
 /// Panics if `data` is empty or `group.len() != data.len()`.
 pub fn sweep(data: &Dataset, group: &[usize], cfg: &SweepConfig) -> SweepReport {
-    sweep_threads(data, group, cfg, num_threads())
-}
-
-/// [`sweep`] with an explicit worker count (used by the determinism tests
-/// to force serial vs. multi-threaded execution).
-pub fn sweep_threads(
-    data: &Dataset,
-    group: &[usize],
-    cfg: &SweepConfig,
-    threads: usize,
-) -> SweepReport {
     assert!(!data.is_empty(), "cannot sweep an empty dataset");
     assert_eq!(group.len(), data.len(), "one group per example");
     let builds_before = distance_builds();
-    let tile_rows = tile_rows_for(data.len(), threads);
-    let (kernels, nn_cells) = distance_pass(data, group, cfg, tile_rows, threads);
-    finish_report(data, group, cfg, threads, &kernels, nn_cells, builds_before)
+    let tile_rows = tile_rows_for(data.len(), num_threads());
+    let (kernels, nn_cells) = distance_pass(data, group, cfg, tile_rows);
+    finish_report(data, group, cfg, &kernels, nn_cells, builds_before)
 }
 
 /// The sweep's one pairwise distance pass, in row strips of `tile_rows`:
@@ -327,13 +321,12 @@ pub fn sweep_threads(
 /// [`KernelCache::rbf_pass`]) and feeds the NN radius tallies, then is
 /// overwritten — the n×n distance matrix never exists. Radius tallies
 /// are integers, so the cells are the same at any `tile_rows` and
-/// `threads`.
+/// worker count.
 fn distance_pass(
     data: &Dataset,
     group: &[usize],
     cfg: &SweepConfig,
     tile_rows: usize,
-    threads: usize,
 ) -> (Vec<KernelCache>, Vec<RadiusCell>) {
     let n = data.len();
     let xs = MinMaxNormalizer::fit(&data.x).transform(&data.x);
@@ -342,7 +335,6 @@ fn distance_pass(
         &xs,
         &cfg.svm.gammas,
         tile_rows,
-        threads,
         || vec![0u64; r2s.len()],
         |correct, i, d2row| {
             // A radius is a threshold over the d² row: replicate
@@ -413,7 +405,6 @@ fn finish_report(
     data: &Dataset,
     group: &[usize],
     cfg: &SweepConfig,
-    threads: usize,
     kernels: &[KernelCache],
     nn_cells: Vec<RadiusCell>,
     builds_before: u64,
@@ -442,7 +433,7 @@ fn finish_report(
             (0..cfg.svm.cs.len()).flat_map(move |ci| (0..n_groups).map(move |fi| (gi, ci, fi)))
         })
         .collect();
-    let correct_per_job: Vec<u64> = par_map_threads(threads, &jobs, |&(gi, ci, fi)| {
+    let correct_per_job: Vec<u64> = par_map(&jobs, |&(gi, ci, fi)| {
         let g = groups[fi];
         let members: Vec<usize> = (0..n).filter(|&i| group[i] == g).collect();
         let active: Vec<usize> = (0..n).filter(|&i| group[i] != g).collect();
@@ -530,7 +521,7 @@ fn finish_report(
             tree_cells.push(TreeCell {
                 max_depth,
                 min_leaf,
-                accuracy: logo_accuracy_threads(data, group, &clf, threads),
+                accuracy: logo_accuracy(data, group, &clf),
             });
         }
     }
@@ -554,7 +545,7 @@ fn finish_report(
         });
         forest_cells.push(ForestCell {
             trees,
-            accuracy: logo_accuracy_threads(data, group, &clf, threads),
+            accuracy: logo_accuracy(data, group, &clf),
         });
     }
     let (selected_forest, forest_accuracy) =
@@ -580,7 +571,7 @@ fn finish_report(
             mlp_cells.push(MlpCell {
                 hidden,
                 lr,
-                accuracy: logo_accuracy_threads(data, group, &clf, threads),
+                accuracy: logo_accuracy(data, group, &clf),
             });
         }
     }
@@ -654,6 +645,7 @@ fn argmax_accuracy(accuracies: impl Iterator<Item = f64>) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::svm::KernelCache;
+    use loopml_rt::with_threads;
 
     /// Three well-separated clusters, each split across two "benchmarks"
     /// so LOGO folds still see every class.
@@ -684,7 +676,7 @@ mod tests {
     fn sweep_scores_every_cell_and_selects_a_winner() {
         let (data, group) = clusters();
         let cfg = SweepConfig::default();
-        let r = sweep_threads(&data, &group, &cfg, 1);
+        let r = with_threads(1, || sweep(&data, &group, &cfg));
         assert_eq!(r.svm_cells.len(), cfg.svm.gammas.len() * cfg.svm.cs.len());
         assert_eq!(r.nn_cells.len(), cfg.radii.len());
         assert_eq!(r.n_examples, data.len());
@@ -735,11 +727,11 @@ mod tests {
     fn dense_sweep_is_bit_identical_across_thread_counts() {
         let (data, group) = clusters();
         let cfg = SweepConfig::default();
-        let serial = sweep_threads(&data, &group, &cfg, 1);
+        let serial = with_threads(1, || sweep(&data, &group, &cfg));
         for threads in [2, 4] {
             assert_eq!(
                 serial,
-                sweep_threads(&data, &group, &cfg, threads),
+                with_threads(threads, || sweep(&data, &group, &cfg)),
                 "diverged at {threads} threads"
             );
         }
@@ -760,7 +752,7 @@ mod tests {
             radii: vec![],
             ..SweepConfig::default()
         };
-        let r = sweep_threads(&data, &group, &cfg, 1);
+        let r = with_threads(1, || sweep(&data, &group, &cfg));
         assert_eq!(r.distance_builds, 1);
         assert!(r.svm_cells.is_empty() && r.nn_cells.is_empty());
         assert!(!r.tree_cells.is_empty());
@@ -777,7 +769,7 @@ mod tests {
         let (data, group) = clusters();
         let cfg = SweepConfig::default();
         let xs = MinMaxNormalizer::fit(&data.x).transform(&data.x);
-        let (kernels, _) = distance_pass(&data, &group, &cfg, 5, 2);
+        let (kernels, _) = with_threads(2, || distance_pass(&data, &group, &cfg, 5));
         for (gamma, derived) in cfg.svm.gammas.iter().zip(&kernels) {
             let direct = KernelCache::compute(&xs, *gamma);
             assert_eq!(direct.entries(), derived.entries(), "gamma={gamma}");
@@ -858,7 +850,8 @@ mod tests {
             let (want_kernels, want_nn) = dense_reference(&data, &group, &cfg);
             for tile in [1usize, 7, 64] {
                 for threads in [1usize, 4] {
-                    let (kernels, nn_cells) = distance_pass(&data, &group, &cfg, tile, threads);
+                    let (kernels, nn_cells) =
+                        with_threads(threads, || distance_pass(&data, &group, &cfg, tile));
                     assert_eq!(nn_cells, want_nn, "tile={tile} threads={threads}");
                     assert_eq!(kernels.len(), want_kernels.len());
                     for (got, want) in kernels.iter().zip(&want_kernels) {
@@ -898,7 +891,7 @@ mod tests {
                 ..MlpGrid::default()
             },
         };
-        let r = sweep_threads(&data, &group, &cfg, 1);
+        let r = with_threads(1, || sweep(&data, &group, &cfg));
         assert!(r.svm_cells.is_empty());
         assert!(r.nn_cells.is_empty());
         assert!(r.tree_cells.is_empty());
@@ -928,7 +921,7 @@ mod tests {
         let (data, _) = clusters();
         let group = vec![0usize; data.len()];
         let cfg = SweepConfig::default();
-        let r = sweep_threads(&data, &group, &cfg, 1);
+        let r = with_threads(1, || sweep(&data, &group, &cfg));
         let class0 = data.y.iter().filter(|&&y| y == 0).count() as f64 / data.len() as f64;
         for cell in &r.svm_cells {
             assert_eq!(cell.accuracy, class0);

@@ -1,15 +1,11 @@
 //! Sweep determinism and single-distance-build guarantees.
 //!
-//! Lives in its own integration-test binary on purpose: the
-//! [`loopml_ml::distance_builds`] counter is process-global, and the unit
-//! tests build distance matrices freely. Here the only builders are these
-//! tests, serialized by a mutex, so counter deltas are exact.
+//! The [`loopml_ml::distance_builds`] counter is per-thread, so these
+//! tests run concurrently with each other and with any other builder and
+//! still see exact deltas.
 
-use std::sync::Mutex;
-
-use loopml_ml::{distance_builds, sweep_threads, Dataset, SvmGrid, SweepConfig};
-
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+use loopml_ml::{distance_builds, sweep, Dataset, SvmGrid, SweepConfig};
+use loopml_rt::with_threads;
 
 /// Four "benchmarks", each contributing loops from every class — a
 /// deterministic, LOGO-friendly corpus with enough examples that the
@@ -45,12 +41,11 @@ fn corpus() -> (Dataset, Vec<usize>) {
 
 #[test]
 fn sweep_is_bit_identical_across_thread_counts() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
     let (data, group) = corpus();
     let cfg = SweepConfig::default();
-    let serial = sweep_threads(&data, &group, &cfg, 1);
+    let serial = with_threads(1, || sweep(&data, &group, &cfg));
     for threads in [2, 4, 8] {
-        let par = sweep_threads(&data, &group, &cfg, threads);
+        let par = with_threads(threads, || sweep(&data, &group, &cfg));
         // PartialEq over every cell accuracy, selected params and
         // counters: bit-identical, not approximately equal.
         assert_eq!(serial, par, "sweep diverged at {threads} threads");
@@ -59,7 +54,6 @@ fn sweep_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn sweep_builds_exactly_one_distance_matrix() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
     let (data, group) = corpus();
     // A bigger-than-default grid: the build count must stay 1 no matter
     // how many gammas, Cs and radii are swept — and the distance-free
@@ -75,7 +69,7 @@ fn sweep_builds_exactly_one_distance_matrix() {
         ..SweepConfig::default()
     };
     let before = distance_builds();
-    let report = sweep_threads(&data, &group, &cfg, 4);
+    let report = with_threads(4, || sweep(&data, &group, &cfg));
     assert_eq!(
         distance_builds() - before,
         1,
@@ -88,12 +82,12 @@ fn sweep_builds_exactly_one_distance_matrix() {
 
 #[test]
 fn counter_is_monotonic_across_sweeps() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
     let (data, group) = corpus();
     let cfg = SweepConfig::default();
     let before = distance_builds();
-    let a = sweep_threads(&data, &group, &cfg, 2);
-    let b = sweep_threads(&data, &group, &cfg, 2);
+    let (a, b) = with_threads(2, || {
+        (sweep(&data, &group, &cfg), sweep(&data, &group, &cfg))
+    });
     assert_eq!(distance_builds() - before, 2, "one build per sweep");
     assert_eq!(a, b, "same inputs, same report");
 }

@@ -11,7 +11,7 @@
 //! * [`par`] — a scoped `std::thread` worker pool. [`par_map`] distributes
 //!   work over an atomic queue and returns results in input order, so any
 //!   pipeline that seeds one RNG per item is bit-identical to its serial
-//!   equivalent.
+//!   equivalent; [`with_threads`] pins the worker count for one call.
 //! * [`fault`] — deterministic fault injection ([`FaultPlane`]), seeded
 //!   from the `LOOPML_FAULTS` environment variable; paired with
 //!   [`par::par_map_result`], which isolates per-item panics instead of
@@ -35,7 +35,5 @@ pub mod rng;
 pub use check::check;
 pub use fault::{fault_key, fault_key_str, FaultPlane, InjectedFault};
 pub use json::Json;
-pub use par::{
-    num_threads, par_map, par_map_result, par_map_result_threads, par_map_threads, WorkerError,
-};
+pub use par::{num_threads, par_map, par_map_result, par_map_threads, with_threads, WorkerError};
 pub use rng::{Rng, SampleRange};

@@ -6,10 +6,14 @@
 //! runs, never *what* it computes or where the result lands.
 //!
 //! Thread count comes from `std::thread::available_parallelism`, or the
-//! `LOOPML_THREADS` environment variable when set. Nested `par_map` calls
-//! from inside a worker run serially on that worker — one level of
-//! parallelism is enough for labeling (benchmarks × loops) and avoids
-//! quadratic thread explosions.
+//! `LOOPML_THREADS` environment variable when set, or — innermost — a
+//! [`with_threads`] scope on the calling thread. Every parallel algorithm
+//! in the workspace has one entry point that reads [`num_threads`];
+//! tests pin the count for one call with `with_threads(4, || sweep(..))`,
+//! which, unlike setting `LOOPML_THREADS`, cannot race other threads of
+//! the process. Nested `par_map` calls from inside a worker run serially
+//! on that worker — one level of parallelism is enough for labeling
+//! (benchmarks × loops) and avoids quadratic thread explosions.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -20,13 +24,36 @@ use crate::fault::InjectedFault;
 
 thread_local! {
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
+    /// The innermost [`with_threads`] count on this thread (0 = none).
+    static SCOPED: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Worker threads to use: `LOOPML_THREADS` if set to a positive integer,
-/// otherwise the machine's available parallelism (1 if unknown). An
-/// invalid `LOOPML_THREADS` value (zero, negative, non-numeric) warns
-/// once to stderr and falls back to available parallelism.
+/// Runs `f` with [`num_threads`] returning `n` (clamped to at least 1)
+/// on the calling thread, then restores the previous value — also when
+/// `f` unwinds. Scopes nest; the innermost wins. Threads spawned inside
+/// `f` do not see the override, and a call from inside a pool worker
+/// still maps serially (see the module docs).
+pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(SCOPED.with(|c| c.replace(n.max(1))));
+    f()
+}
+
+/// Worker threads to use: the innermost [`with_threads`] scope on this
+/// thread, else `LOOPML_THREADS` if set to a positive integer, otherwise
+/// the machine's available parallelism (1 if unknown). An invalid
+/// `LOOPML_THREADS` value (zero, negative, non-numeric) warns once to
+/// stderr and falls back to available parallelism.
 pub fn num_threads() -> usize {
+    let scoped = SCOPED.with(Cell::get);
+    if scoped >= 1 {
+        return scoped;
+    }
     if let Ok(s) = std::env::var("LOOPML_THREADS") {
         match s.trim().parse::<usize>() {
             Ok(n) if n >= 1 => return n,
@@ -94,8 +121,9 @@ where
     par_map_threads(num_threads(), items, f)
 }
 
-/// [`par_map`] with an explicit worker count (used by the equivalence
-/// tests to force serial vs. multi-threaded execution).
+/// [`par_map`] with an explicit worker count. Everything else in the
+/// workspace maps through [`par_map`] and pins the count with
+/// [`with_threads`]; this is the one primitive that takes it directly.
 ///
 /// # Panics
 ///
@@ -150,26 +178,12 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_result_threads(num_threads(), items, f)
-}
-
-/// [`par_map_result`] with an explicit worker count.
-pub fn par_map_result_threads<T, R, F>(
-    threads: usize,
-    items: &[T],
-    f: F,
-) -> Vec<Result<R, WorkerError>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
     let isolated = |(i, item): &(usize, &T)| -> Result<R, WorkerError> {
         catch_unwind(AssertUnwindSafe(|| f(item)))
             .map_err(|payload| WorkerError::from_panic(*i, payload))
     };
     let indexed: Vec<(usize, &T)> = items.iter().enumerate().collect();
-    par_map_threads(threads, &indexed, isolated)
+    par_map(&indexed, isolated)
 }
 
 #[cfg(test)]
@@ -228,11 +242,13 @@ mod tests {
     fn par_map_result_isolates_panics() {
         let items: Vec<u32> = (0..32).collect();
         for threads in [1, 2, 4] {
-            let out = par_map_result_threads(threads, &items, |&x| {
-                if x % 7 == 3 {
-                    panic!("boom on {x}");
-                }
-                x * 2
+            let out = with_threads(threads, || {
+                par_map_result(&items, |&x| {
+                    if x % 7 == 3 {
+                        panic!("boom on {x}");
+                    }
+                    x * 2
+                })
             });
             assert_eq!(out.len(), items.len());
             for (i, r) in out.iter().enumerate() {
@@ -253,9 +269,11 @@ mod tests {
         use crate::fault::{site, FaultPlane};
         let plane = FaultPlane::new(0, 1.0).only_keys(vec![5]);
         let items: Vec<u64> = (0..12).collect();
-        let out = par_map_result_threads(3, &items, |&k| {
-            plane.trip(site::LABEL_LOOP, k);
-            k + 1
+        let out = with_threads(3, || {
+            par_map_result(&items, |&k| {
+                plane.trip(site::LABEL_LOOP, k);
+                k + 1
+            })
         });
         for (i, r) in out.iter().enumerate() {
             if i == 5 {
@@ -280,5 +298,58 @@ mod tests {
             })
         });
         assert!(caught.is_err());
+    }
+
+    #[test]
+    fn with_threads_scopes_the_count_and_restores_it() {
+        let outside = num_threads();
+        assert_eq!(with_threads(3, num_threads), 3);
+        assert_eq!(num_threads(), outside);
+        let caught = catch_unwind(|| {
+            with_threads(5, || {
+                assert_eq!(num_threads(), 5);
+                panic!("unwind through the scope");
+            })
+        });
+        assert!(caught.is_err());
+        assert_eq!(num_threads(), outside, "restored after a panic");
+    }
+
+    #[test]
+    fn with_threads_nests_innermost_first() {
+        with_threads(2, || {
+            assert_eq!(with_threads(7, num_threads), 7);
+            assert_eq!(num_threads(), 2);
+        });
+    }
+
+    #[test]
+    fn with_threads_is_invisible_to_other_threads() {
+        let outside = num_threads();
+        with_threads(outside + 3, || {
+            let spawned = std::thread::spawn(num_threads).join().unwrap();
+            assert_eq!(spawned, outside);
+        });
+    }
+
+    #[test]
+    fn with_threads_clamps_zero_to_one() {
+        assert_eq!(with_threads(0, num_threads), 1);
+        let items: Vec<u32> = (0..8).collect();
+        let ids = with_threads(0, || par_map(&items, |_| std::thread::current().id()));
+        assert!(ids.iter().all(|&id| id == std::thread::current().id()));
+    }
+
+    #[test]
+    fn with_threads_keeps_nested_pool_calls_serial() {
+        let outer: Vec<usize> = (0..4).collect();
+        let serial_inside = par_map_threads(2, &outer, |_| {
+            let worker = std::thread::current().id();
+            let inner: Vec<usize> = (0..8).collect();
+            with_threads(4, || par_map(&inner, |_| std::thread::current().id()))
+                .iter()
+                .all(|&id| id == worker)
+        });
+        assert!(serial_inside.iter().all(|&s| s));
     }
 }

@@ -4,14 +4,14 @@
 //! degrades gracefully, and checkpoint/resume is bit-identical.
 
 use loopml::{
-    label_benchmark, label_suite_resilient, measure_benchmark, EvalConfig, LabelConfig,
+    label_benchmark, label_suite_resilient, measure_benchmark, EvalConfig, LabelConfig, LabelRun,
     LabeledLoop, OrcHeuristic, QuarantineScope, ResilienceConfig,
 };
 use loopml_corpus::{synthesize, SuiteConfig, ROSTER};
 use loopml_ir::Benchmark;
 use loopml_machine::SwpMode;
 use loopml_rt::fault::site;
-use loopml_rt::{par_map_result, FaultPlane};
+use loopml_rt::{par_map_result, with_threads, FaultPlane};
 
 fn small_suite() -> Vec<Benchmark> {
     ROSTER
@@ -34,12 +34,14 @@ fn cfg() -> LabelConfig {
     LabelConfig::paper(SwpMode::Disabled)
 }
 
-fn resilience(faults: FaultPlane, threads: usize) -> ResilienceConfig {
-    ResilienceConfig {
+/// The resilient labeler over `suite` under `faults`, at `threads`
+/// workers.
+fn resilient(suite: &[Benchmark], faults: FaultPlane, threads: usize) -> LabelRun {
+    let res = ResilienceConfig {
         faults,
-        threads,
         ..ResilienceConfig::default()
-    }
+    };
+    with_threads(threads, || label_suite_resilient(suite, &cfg(), &res))
 }
 
 /// The headline guarantee: a corpus where one synthetic benchmark
@@ -61,7 +63,7 @@ fn crashing_benchmark_never_contaminates_siblings() {
         let plane = FaultPlane::new(0, 1.0)
             .at_site(site::LABEL_LOOP)
             .only_keys(vec![poisoned as u64]);
-        let run = label_suite_resilient(&suite, &cfg(), &resilience(plane, threads));
+        let run = resilient(&suite, plane, threads);
         assert_eq!(
             run.labeled, alone,
             "survivors diverged at {threads} thread(s)"
@@ -84,7 +86,7 @@ fn crashing_benchmark_never_contaminates_siblings() {
 fn chaos_runs_complete_and_reproduce() {
     let suite = small_suite();
     let plane = || FaultPlane::new(0x20260806, 0.08).at_site(site::LABEL_MEASURE);
-    let reference = label_suite_resilient(&suite, &cfg(), &resilience(plane(), 1));
+    let reference = resilient(&suite, plane(), 1);
     assert!(!reference.labeled.is_empty(), "chaos must not stop the run");
     assert!(
         reference.report.fault_sites[site::LABEL_MEASURE] > 0,
@@ -95,18 +97,18 @@ fn chaos_runs_complete_and_reproduce() {
         "some loops should have needed retries"
     );
     for threads in [2usize, 4] {
-        let run = label_suite_resilient(&suite, &cfg(), &resilience(plane(), threads));
+        let run = resilient(&suite, plane(), threads);
         assert_eq!(run, reference, "chaos diverged at {threads} threads");
     }
     assert_eq!(
-        label_suite_resilient(&suite, &cfg(), &resilience(plane(), 1)),
+        resilient(&suite, plane(), 1),
         reference,
         "rerun must be bit-identical"
     );
 
     // Labels the chaos run produced without retries match a fault-free
     // run exactly (the fault plane costs coverage, never accuracy).
-    let clean = label_suite_resilient(&suite, &cfg(), &resilience(FaultPlane::disabled(), 1));
+    let clean = resilient(&suite, FaultPlane::disabled(), 1);
     for (l, &a) in reference.labeled.iter().zip(&reference.attempts) {
         if a == 0 {
             let c = clean
@@ -162,10 +164,9 @@ fn resume_after_partial_loss_is_bit_identical() {
     let full_cfg = ResilienceConfig {
         faults: plane(),
         ckpt_dir: Some(dir.clone()),
-        threads: 2,
         ..ResilienceConfig::default()
     };
-    let full = label_suite_resilient(&suite, &cfg(), &full_cfg);
+    let full = with_threads(2, || label_suite_resilient(&suite, &cfg(), &full_cfg));
 
     // "Crash": one checkpoint disappears, another is truncated mid-write.
     let gone = loopml::checkpoint_path(&dir, 0, &suite[0].name);
@@ -174,14 +175,16 @@ fn resume_after_partial_loss_is_bit_identical() {
     let text = std::fs::read_to_string(&torn).expect("checkpoint existed");
     std::fs::write(&torn, &text[..text.len() / 3]).expect("truncate");
 
-    let resumed = label_suite_resilient(
-        &suite,
-        &cfg(),
-        &ResilienceConfig {
-            resume: true,
-            ..full_cfg
-        },
-    );
+    let resumed = with_threads(2, || {
+        label_suite_resilient(
+            &suite,
+            &cfg(),
+            &ResilienceConfig {
+                resume: true,
+                ..full_cfg
+            },
+        )
+    });
     assert_eq!(resumed.labeled, full.labeled);
     assert_eq!(resumed.attempts, full.attempts);
     assert_eq!(resumed.report.resumed, 2, "two checkpoints survived");
@@ -197,19 +200,20 @@ fn resume_after_partial_loss_is_bit_identical() {
         seed: cfg().seed ^ 1,
         ..cfg()
     };
-    let fresh = label_suite_resilient(
-        &suite,
-        &reseeded,
-        &ResilienceConfig {
-            resume: true,
-            ..ResilienceConfig {
-                faults: plane(),
-                ckpt_dir: Some(dir.clone()),
-                threads: 2,
-                ..ResilienceConfig::default()
-            }
-        },
-    );
+    let fresh = with_threads(2, || {
+        label_suite_resilient(
+            &suite,
+            &reseeded,
+            &ResilienceConfig {
+                resume: true,
+                ..ResilienceConfig {
+                    faults: plane(),
+                    ckpt_dir: Some(dir.clone()),
+                    ..ResilienceConfig::default()
+                }
+            },
+        )
+    });
     assert_eq!(fresh.report.resumed, 0, "stale checkpoints must be ignored");
 }
 
@@ -234,7 +238,6 @@ fn killed_shard_resumes_and_merges_bit_identically() {
     let res = |resume: bool| ResilienceConfig {
         ckpt_dir: Some(ckpt.clone()),
         resume,
-        threads: 2,
         ..ResilienceConfig::default()
     };
     let single = labels_to_json(
@@ -244,21 +247,26 @@ fn killed_shard_resumes_and_merges_bit_identically() {
 
     let count = 2usize;
     let shard = |index| Shard { index, count };
+    let run = |resume: bool, index| {
+        with_threads(2, || {
+            label_suite_resilient_sharded(&suite, &config, &res(resume), Some(shard(index)))
+        })
+    };
     // Shard 0 completes normally.
-    let run0 = label_suite_resilient_sharded(&suite, &config, &res(false), Some(shard(0)));
+    let run0 = run(false, 0);
     let path0 = dir.join("shard0.json");
     let doc0 = labels_to_json_sharded(&run0, config.swp, Some(shard(0))).to_string();
     std::fs::write(&path0, format!("{doc0}\n")).unwrap();
 
     // Shard 1 is "killed": its checkpoints exist but one is lost and no
     // shard document was ever written.
-    let killed = label_suite_resilient_sharded(&suite, &config, &res(false), Some(shard(1)));
+    let killed = run(false, 1);
     std::fs::remove_file(loopml::checkpoint_path(&ckpt, 1, &suite[1].name))
         .expect("shard 1's checkpoint existed");
 
     // The restarted worker resumes the surviving checkpoints and emits
     // a byte-identical shard document.
-    let resumed = label_suite_resilient_sharded(&suite, &config, &res(true), Some(shard(1)));
+    let resumed = run(true, 1);
     assert_eq!(resumed.labeled, killed.labeled);
     assert_eq!(resumed.attempts, killed.attempts);
     assert!(resumed.report.resumed > 0, "surviving checkpoints reused");

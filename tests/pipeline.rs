@@ -2,13 +2,13 @@
 //! heuristics → whole-benchmark evaluation, crossing every crate.
 
 use loopml::{
-    improvement, label_benchmark, label_suite, label_suite_threads, oracle_choices, run_benchmark,
-    to_dataset, EvalConfig, LabelConfig, LearnedHeuristic, OrcHeuristic, PipelineBuilder,
-    UnrollHeuristic,
+    improvement, label_benchmark, label_suite, oracle_choices, run_benchmark, to_dataset,
+    EvalConfig, LabelConfig, LearnedHeuristic, OrcHeuristic, PipelineBuilder, UnrollHeuristic,
 };
 use loopml_corpus::{full_suite, synthesize, SuiteConfig, ROSTER};
 use loopml_machine::{NoiseModel, SwpMode};
 use loopml_ml::{loocv_nn, NearNeighbors, DEFAULT_RADIUS};
+use loopml_rt::with_threads;
 
 fn small_suite_cfg() -> SuiteConfig {
     SuiteConfig {
@@ -144,10 +144,10 @@ fn parallel_suite_labeling_matches_serial_end_to_end() {
         .map(|e| synthesize(e, &small_suite_cfg()))
         .collect();
     let cfg = LabelConfig::paper(SwpMode::Disabled);
-    let serial = label_suite_threads(&suite, &cfg, 1);
+    let serial = with_threads(1, || label_suite(&suite, &cfg));
     assert!(!serial.is_empty());
     for threads in [2, 4, 7] {
-        assert_eq!(serial, label_suite_threads(&suite, &cfg, threads));
+        assert_eq!(serial, with_threads(threads, || label_suite(&suite, &cfg)));
     }
     assert_eq!(serial, label_suite(&suite, &cfg));
 }

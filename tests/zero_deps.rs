@@ -123,6 +123,65 @@ fn sources_do_not_import_registry_crates() {
     );
 }
 
+/// The test-only part of a source file at `rel` (relative to the
+/// workspace root): all of it under a `tests` or `benches` directory,
+/// else everything from its first `#[cfg(test)]`.
+fn test_text<'a>(rel: &Path, text: &'a str) -> &'a str {
+    let in_test_dir = rel
+        .components()
+        .any(|c| c.as_os_str() == "tests" || c.as_os_str() == "benches");
+    if in_test_dir {
+        text
+    } else {
+        text.find("#[cfg(test)]").map_or("", |at| &text[at..])
+    }
+}
+
+/// Every parallel algorithm has one entry point that reads
+/// `loopml_rt::num_threads()`; tests pin the worker count with
+/// `loopml_rt::with_threads`. Neither explicit-count twins nor tests
+/// that mutate the process-global `LOOPML_THREADS` may come back — the
+/// latter race every other test in the same binary. The only public
+/// `*_threads` functions are the runtime's own `num_threads`,
+/// `with_threads` and the `par_map_threads` primitive.
+#[test]
+fn no_thread_count_twins_or_env_mutating_tests() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    rust_sources(&root.join("crates"), &mut sources);
+    rust_sources(&root.join("tests"), &mut sources);
+    let par = root.join("crates/rt/src/par.rs");
+    // Split so this file does not match its own needle.
+    let set_env = concat!("set_var(\"LOOPML_", "THREADS\"");
+    let mut bad = Vec::new();
+    for path in &sources {
+        let text = fs::read_to_string(path).expect("readable source");
+        for (ln, raw) in text.lines().enumerate() {
+            let Some(rest) = raw.trim().strip_prefix("pub fn ") else {
+                continue;
+            };
+            let name: String = rest
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect();
+            let runtime = *path == par
+                && ["num_threads", "with_threads", "par_map_threads"].contains(&name.as_str());
+            if name.ends_with("_threads") && !runtime {
+                bad.push(format!("{}:{}: pub fn {name}", path.display(), ln + 1));
+            }
+        }
+        let rel = path.strip_prefix(&root).expect("source under the root");
+        if test_text(rel, &text).contains(set_env) {
+            bad.push(format!("{}: test sets LOOPML_THREADS", path.display()));
+        }
+    }
+    assert!(
+        bad.is_empty(),
+        "wrap the single entry point in loopml_rt::with_threads instead:\n{}",
+        bad.join("\n")
+    );
+}
+
 #[test]
 fn workspace_members_all_depend_on_paths_only() {
     // Every loopml-* dependency resolves inside the repository.
